@@ -19,9 +19,12 @@ from .model import (
     apply_permutation,
     cond_y_given_v,
     free_energy,
-    label_log_weights,
+    label_joint_log_weights,
+    log_cond_y_given_v,
+    log_sum_exp,
     marginal_z_posterior,
     unit_inputs,
+    with_label_inputs,
     z_posterior,
 )
 from .sampling import gibbs_sweep
@@ -41,14 +44,18 @@ def _require_small(params: ModelParams, cap: int):
         raise ValueError(f"exact enumeration needs D <= {cap}, model has D={params.D}")
 
 
-def log_pstar(params: ModelParams, v) -> np.ndarray:
+def log_pstar(params: ModelParams, v, *, zp=None) -> np.ndarray:
     """log of the unnormalized marginal: sum over z (and classes, for
-    labeled models) of e^{-F}. Accepts a batch."""
+    labeled models) of e^{-F}. Accepts a batch. zp, when given, is
+    marginal_z_posterior(params, v) of the same rows."""
     V = np.atleast_2d(np.asarray(v, dtype=np.float64))
+    if zp is None:
+        zp = marginal_z_posterior(params, V)
+    log_norm = np.atleast_1d(zp.log_norm)
     if params.has_labels:
-        lw = V @ params.b_v[:, None] + label_log_weights(params, V)
-        return logsumexp(lw, axis=-1)
-    return np.atleast_1d(z_posterior(params, V).log_norm)
+        # the label-marginal posterior is over G, which leaves out v.b_v
+        return V @ params.b_v + log_norm
+    return log_norm
 
 
 def exact_log_partition(params: ModelParams, cap: int = EXACT_D_CAP) -> float:
@@ -66,9 +73,9 @@ def exact_loglik(params: ModelParams, X, cap: int = EXACT_D_CAP) -> float:
 
 def exact_cond_loglik(params: ModelParams, X, Y) -> float:
     """Mean log p(y | v); needs no partition function."""
-    p = cond_y_given_v(params, np.atleast_2d(X))
-    n = p.shape[0]
-    return float(np.mean(np.log(p[np.arange(n), np.asarray(Y, dtype=np.int64)])))
+    lp = log_cond_y_given_v(params, np.atleast_2d(X))
+    n = lp.shape[0]
+    return float(np.mean(lp[np.arange(n), np.asarray(Y, dtype=np.int64)]))
 
 
 def exact_visible_distribution(params: ModelParams,
@@ -126,6 +133,9 @@ class AisResult:
 
 def _interpolated(params: ModelParams, beta_k: float,
                   b_base: np.ndarray) -> ModelParams:
+    """The model at inverse temperature beta_k: couplings scaled by beta_k,
+    visible biases mixed with the base model's. Its unit inputs are
+    beta_k * unit_inputs(params, .)."""
     return ModelParams(
         W=beta_k * params.W,
         b_v=(1.0 - beta_k) * b_base + beta_k * params.b_v,
@@ -170,34 +180,39 @@ def ais_log_partition(params: ModelParams, n_temps: int, n_chains: int,
     V = (rng.random((n_chains, params.D)) < expit(b_base)).astype(np.float64)
     Y = rng.integers(0, params.C, size=n_chains) if params.has_labels else None
 
-    def lp(V, Y, beta_k):
-        m = _interpolated(params, beta_k, b_base)
-        if Y is None:
-            return log_pstar(m, V)
-        lw = V @ m.b_v[:, None] + label_log_weights(m, V)
-        return lw[np.arange(V.shape[0]), Y]
+    def target_inputs(V, Y):
+        """Unit inputs of the target model, from one GEMM per visible state;
+        the model at beta has beta times these."""
+        G = unit_inputs(params, V)
+        return G if Y is None else with_label_inputs(params, G, Y)
+
+    def lp(m, V, Y, A):
+        """log p*(v [, y]) under m, whose unit inputs of V are A."""
+        return np.atleast_1d(z_posterior(m, V, Y, A=A).log_norm)
 
     log_w = np.zeros(n_chains)
-    prev = lp(V, Y, betas[0])
+    G = target_inputs(V, Y)
+    prev = lp(_interpolated(params, betas[0], b_base), V, Y, betas[0] * G)
     for k in range(1, n_temps):
-        cur = lp(V, Y, betas[k])
+        m = _interpolated(params, betas[k], b_base)
+        A = betas[k] * G
+        cur = lp(m, V, Y, A)
         log_w += cur - prev
         if k < n_temps - 1:
-            m = _interpolated(params, betas[k], b_base)
-            V, Y, _ = gibbs_sweep(m, V, Y, rng)
-            prev = lp(V, Y, betas[k])
-        else:
-            prev = cur
+            V, Y, _ = gibbs_sweep(m, V, Y, rng, A=A)
+            G = target_inputs(V, Y)
+            prev = lp(m, V, Y, betas[k] * G)
     if not np.all(np.isfinite(log_w)):
         bad = int(np.sum(~np.isfinite(log_w)))
         raise FloatingPointError(f"{bad}/{n_chains} AIS weights are not finite")
 
     log_z_base = base_log_partition(params, b_base)
     est = log_z_base + logsumexp(log_w) - np.log(n_chains)
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
-        idx = rng.integers(0, n_chains, size=n_chains)
-        boots[b] = logsumexp(log_w[idx]) - np.log(n_chains)
+    # the resamples' index draws, in the same order as drawing and reducing
+    # them one by one; reduced in one call
+    idx = np.array([rng.integers(0, n_chains, size=n_chains)
+                    for _ in range(n_boot)]).reshape(n_boot, n_chains)
+    boots = log_sum_exp(log_w[idx]) - np.log(n_chains)
     return AisResult(log_z=float(est), std_err=float(np.std(boots)),
                      log_weights=log_w)
 
@@ -298,19 +313,22 @@ def permutation_averaged_condlik(params: ModelParams, X, Y, n_perms: int,
     for j in range(max(1, n_perms)):
         order = sample_permutation(m, rng)
         pj = apply_permutation(params, order)
-        per_perm[j] = np.log(cond_y_given_v(pj, X)[rows, Y])
+        per_perm[j] = log_cond_y_given_v(pj, X)[rows, Y]
     return float(np.mean(logsumexp(per_perm, axis=0) - np.log(per_perm.shape[0])))
 
 
 # -- size estimates and converted-RBM evaluation ------------------------------
 
 
-def effective_hidden_size(params: ModelParams, X,
-                          minibatch_size: int = 100) -> int:
+def effective_hidden_size(params: ModelParams, X, minibatch_size: int = 100,
+                          *, zp=None) -> int:
     """Mean over minibatches of the batch maximum of the posterior mode of z
-    (support 1..l+1, tail pooled), rounded to an integer."""
+    (support 1..l+1, tail pooled), rounded to an integer. zp, when given, is
+    marginal_z_posterior(params, X)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    modes = marginal_z_posterior(params, X).mode()
+    if zp is None:
+        zp = marginal_z_posterior(params, X)
+    modes = zp.mode()
     maxima = [int(np.max(modes[s:s + minibatch_size]))
               for s in range(0, X.shape[0], minibatch_size)]
     return int(round(float(np.mean(maxima))))
@@ -382,8 +400,10 @@ def classification_metrics(params: ModelParams, X, Y, n_perms: int = 1,
         order = (sample_permutation(m, rng) if reps > 1 else
                  np.arange(0))
         pj = apply_permutation(params, order)
-        py_j = cond_y_given_v(pj, X)
-        pz_j = marginal_z_posterior(pj, X).head_probs()
+        joint = label_joint_log_weights(pj, X)
+        py_j = cond_y_given_v(pj, X, joint=joint)
+        pz_j = marginal_z_posterior(pj, X, joint=joint).head_probs()
+        del joint
         p_y = py_j if p_y is None else p_y + py_j
         p_z = pz_j if p_z is None else p_z + pz_j
     preds = np.argmax(p_y, axis=1)
@@ -409,7 +429,8 @@ def full_report(params: ModelParams, X, Y=None, n_perms: int = 1, m: int = 0,
     if rng is None:
         rng = np.random.default_rng(0)
     report = EvalReport(n_perms=n_perms)
-    report.n_h = effective_hidden_size(params, X, minibatch_size)
+    zp = marginal_z_posterior(params, X)
+    report.n_h = effective_hidden_size(params, X, minibatch_size, zp=zp)
     if params.D <= cap:
         report.method = "exact"
         log_z_fn = exact_log_partition
@@ -429,14 +450,14 @@ def full_report(params: ModelParams, X, Y=None, n_perms: int = 1, m: int = 0,
         report.avg_loglik = permutation_averaged_loglik(
             params, X, n_perms, rng, m=m, log_z_fn=log_z_fn)
     else:
-        report.avg_loglik = float(np.mean(log_pstar(params, X))) - report.log_z
+        report.avg_loglik = float(np.mean(log_pstar(params, X, zp=zp))) - report.log_z
     if Y is not None and params.has_labels:
         error, _, _, hist = classification_metrics(params, X, Y, n_perms, m, rng)
         report.classification_error = error
         report.z_m_histogram = hist
         report.avg_cond_loglik = exact_cond_loglik(params, X, Y)
     else:
-        z_m = marginal_z_posterior(params, X).mode()
+        z_m = zp.mode()
         values, counts = np.unique(z_m, return_counts=True)
         report.z_m_histogram = {int(v): int(c) for v, c in zip(values, counts)}
     return report

@@ -6,6 +6,21 @@ pays a penalty beta_i, and with beta > 1 the infinite sum over z converges
 because every unit beyond the l materialized ones has zero weights and bias.
 All sums over z are therefore a finite head (z = 1..l+1) plus a geometric
 tail handled in closed form.
+
+Shared activations. `unit_inputs` is the only place a visible batch meets
+W (one GEMM). The batch consumers below take its result as a trailing
+keyword argument so a caller holding it does not pay for the GEMM again:
+
+- `A=` (the inputs of the same rows, label term included when the consumer
+  is given labels): `cumulative_unit_terms`, `z_posterior`,
+  `marginal_z_posterior`, and, label-free, `label_joint_log_weights`;
+- `joint=` (the `label_joint_log_weights` result of the same rows):
+  `label_log_weights`, `log_cond_y_given_v`, `cond_y_given_v` and
+  `marginal_z_posterior`.
+
+Omitted, each computes what it needs itself. The callers that share are the
+trainer (`training.Trainer.update_step`, one pass per visible batch), the
+samplers in `sampling` and the evaluation passes in `evaluation`.
 """
 
 from __future__ import annotations
@@ -13,14 +28,50 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 LN2 = float(np.log(2.0))
 
 
 def softplus(x):
-    """log(1 + e^x), stable for large |x|."""
-    return np.logaddexp(0.0, x)
+    """log(1 + e^x) = max(x, 0) + log1p(e^{-|x|}), stable for large |x|."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.abs(x, out=np.empty_like(x))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
+
+
+def log_sum_exp(head, tail=None, axis: int = -1):
+    """log(sum_k e^{head_k} + e^{tail}) along `axis`, shifted by the maximum
+    of all terms so no exponential overflows. `tail` (optional) has head's
+    shape without `axis`; rows whose maximum is infinite yield that value."""
+    head = np.asarray(head, dtype=np.float64)
+    m = np.max(head, axis=axis)
+    if tail is not None:
+        m = np.maximum(m, tail)
+    m = np.where(np.isfinite(m), m, 0.0)
+    w = head - np.expand_dims(m, axis)
+    np.exp(w, out=w)
+    s = np.sum(w, axis=axis)
+    if tail is not None:
+        s = s + np.exp(tail - m)
+    return m + np.log(s)
+
+
+def suffix_probs(head, tail, log_norm):
+    """p(z >= k) for k = 1..K from per-z log weights head (..., K), the log
+    mass beyond them and the log normalizer. log_norm bounds every weight,
+    so it is the shift: e^{head - log_norm} summed from the right, plus the
+    tail."""
+    log_norm = np.asarray(log_norm)[..., None]
+    w = head[..., ::-1] - log_norm
+    np.exp(w, out=w)
+    np.cumsum(w, axis=-1, out=w)
+    w += np.exp(np.asarray(tail)[..., None] - log_norm)
+    return w[..., ::-1]
 
 
 @dataclass(frozen=True)
@@ -170,23 +221,34 @@ def unit_inputs(params: ModelParams, v, y=None) -> np.ndarray:
         raise ValueError(f"visible vector has length {V.shape[1]}, model D={params.D}")
     A = V @ params.W.T + params.c
     if y is not None:
-        if not params.has_labels:
-            raise ValueError("model has no label weights")
-        Y = _label_array(y, V.shape[0])
-        A = A + params.U[:, Y].T
+        A = with_label_inputs(params, A, y)
     return A[0] if single else A
 
 
-def cumulative_unit_terms(params: ModelParams, v, y=None) -> np.ndarray:
+def with_label_inputs(params: ModelParams, A, y) -> np.ndarray:
+    """Add the label term U_i.e_y to label-free unit inputs A (n, l), giving
+    what unit_inputs(params, V, y) returns for the same rows."""
+    if not params.has_labels:
+        raise ValueError("model has no label weights")
+    Y = _label_array(y, A.shape[0])
+    return A + params.U[:, Y].T
+
+
+def cumulative_unit_terms(params: ModelParams, v, y=None, *, A=None) -> np.ndarray:
     """Cumulative sum over units of softplus(input_i) - beta_i, for
     z = 1..l+1. The last entry appends one zero-parameter unit, whose term is
     ln2 - beta_zero. -F(v, z) is this plus the z-independent bias terms.
+    A, when given, is unit_inputs(params, v, y).
     """
-    A = unit_inputs(params, v, y)
-    T = softplus(A) - params.unit_penalties()
-    cum = np.cumsum(T, axis=-1)
-    last = cum[..., -1:] + params.penalty.log_tail_ratio
-    return np.concatenate([cum, last], axis=-1)
+    if A is None:
+        A = unit_inputs(params, v, y)
+    T = softplus(A)
+    T -= params.unit_penalties()
+    l = params.l
+    out = np.empty(T.shape[:-1] + (l + 1,))
+    np.cumsum(T, axis=-1, out=out[..., :l])
+    out[..., l] = out[..., l - 1] + params.penalty.log_tail_ratio
+    return out
 
 
 def energy(params: ModelParams, v, h, z: int, y=None) -> float:
@@ -284,11 +346,9 @@ class ZPosterior:
         return p
 
     def p_z_geq(self) -> np.ndarray:
-        """p(z >= i | .) for i = 1..l+1, accumulated in the log domain."""
-        logw = np.concatenate(
-            [self.head_log_weights, self.tail_log_mass[..., None]], axis=-1)
-        suffix = np.logaddexp.accumulate(logw[..., ::-1], axis=-1)[..., ::-1]
-        return np.exp(suffix[..., :-1] - self.log_norm[..., None])
+        """p(z >= i | .) for i = 1..l+1."""
+        return suffix_probs(self.head_log_weights, self.tail_log_mass,
+                            self.log_norm)
 
     def mass_at_most(self, m: int) -> np.ndarray:
         """log p(z <= m | .) for m within the head support l+1 (regroup
@@ -297,7 +357,7 @@ class ZPosterior:
             return np.full(self.log_norm.shape, -np.inf)
         if m > self.support:
             raise ValueError(f"m must be <= {self.support}")
-        return logsumexp(self.head_log_weights[..., :m], axis=-1) - self.log_norm
+        return log_sum_exp(self.head_log_weights[..., :m]) - self.log_norm
 
     def mode(self, pool_tail: bool = False) -> np.ndarray:
         """argmax_z p(z | .) over the head support 1..l+1, ties toward the
@@ -307,32 +367,32 @@ class ZPosterior:
         return np.argmax(probs, axis=-1) + 1
 
     def sample(self, rng: np.random.Generator):
-        """Draw z from the full posterior; tail draws land at l+1."""
+        """Draw z from the full posterior; tail draws land at l+1. One
+        uniform per row, by sampling.categorical_rows."""
+        from .sampling import categorical_rows
         p = self.clamped_probs()
-        cdf = np.cumsum(p, axis=-1)
-        if cdf.ndim == 1:
-            u = rng.random() * cdf[-1]
-            return int(np.searchsorted(cdf, u, side="right")) + 1
-        u = rng.random(cdf.shape[0]) * cdf[:, -1]
-        idx = (u[:, None] >= cdf).sum(axis=1)
-        return np.minimum(idx, self.support - 1) + 1
+        z = categorical_rows(np.atleast_2d(p), rng) + 1
+        return int(z[0]) if p.ndim == 1 else z
 
 
-def z_posterior(params: ModelParams, v, y=None) -> ZPosterior:
+def z_posterior(params: ModelParams, v, y=None, *, A=None) -> ZPosterior:
     """Posterior over z given one visible vector or a batch.
 
     With a label (scalar or per-row array) this is the posterior given
     (v, y); the geometric tail is always included in the normalization.
+    A, when given, is unit_inputs(params, v, y) of the batch.
     """
     V, single = _as_batch(v)
-    cum = cumulative_unit_terms(params, V, y)
+    if A is not None:
+        A = np.atleast_2d(A)
+    head = cumulative_unit_terms(params, V, y, A=A)
     base = V @ params.b_v
     if y is not None:
         Y = _label_array(y, V.shape[0])
         base = base + params.d[Y]
-    head = base[:, None] + cum
+    head += base[:, None]
     tail = head[:, -1] + params.penalty.log_tail_geometric_sum
-    log_norm = np.logaddexp(logsumexp(head, axis=-1), tail)
+    log_norm = log_sum_exp(head, tail)
     if single:
         return ZPosterior(head[0], tail[0], log_norm[0])
     return ZPosterior(head, tail, log_norm)
@@ -382,58 +442,75 @@ def cond_y_given_hz(params: ModelParams, h, z: int) -> np.ndarray:
     return p / p.sum()
 
 
-def label_joint_log_weights(params: ModelParams, V) -> tuple[np.ndarray, np.ndarray]:
+def label_joint_log_weights(params: ModelParams, V, *,
+                            A=None) -> tuple[np.ndarray, np.ndarray]:
     """Per-class unnormalized z weights for a batch.
 
     Returns (logw, tail) with logw[n, y, k] = log e^{-G(y, z=k+1 | v_n)} for
     z = 1..l+1 and tail[n, y] = log sum_{z > l+1} e^{-G(y, z | v_n)}.
+    A, when given, is the label-free unit_inputs(params, V).
     """
     if not params.has_labels:
         raise ValueError("model has no label weights")
     V = np.asarray(V, dtype=np.float64)
     if V.ndim != 2 or V.shape[1] != params.D:
         raise ValueError(f"V has shape {V.shape}, expected (n, {params.D})")
-    base = V @ params.W.T + params.c                 # (n, l)
-    A = base[:, None, :] + params.U.T[None, :, :]    # (n, C, l)
-    T = softplus(A) - params.unit_penalties()
-    cum = np.cumsum(T, axis=-1)
-    ltr = params.penalty.log_tail_ratio
-    headplus = np.concatenate([cum, cum[..., -1:] + ltr], axis=-1)  # z = 1..l+1
-    logw = params.d[None, :, None] + headplus
+    if A is None:
+        A = unit_inputs(params, V)                   # (n, l)
+    T = softplus(A[:, None, :] + params.U.T[None, :, :])    # (n, C, l)
+    T -= params.unit_penalties()
+    l = params.l
+    logw = np.empty(T.shape[:-1] + (l + 1,))          # z = 1..l+1
+    np.cumsum(T, axis=-1, out=logw[..., :l])
+    del T
+    logw[..., l] = logw[..., l - 1] + params.penalty.log_tail_ratio
+    logw += params.d[None, :, None]
     tail = logw[..., -1] + params.penalty.log_tail_geometric_sum
     return logw, tail
 
 
-def label_log_weights(params: ModelParams, v) -> np.ndarray:
+def label_log_weights(params: ModelParams, v, *, joint=None) -> np.ndarray:
     """log sum_z e^{-G(y, z | v)} for every class, i.e. -F(y | v).
 
     Computed with per-class cumulative sums over the materialized units plus
     the analytic tail, costing O(l D + l C) per example. v may be a batch;
-    the result is (C,) or (n, C).
+    the result is (C,) or (n, C). joint, when given, is
+    label_joint_log_weights(params, v) of the batch.
     """
     V, single = _as_batch(v)
-    logw, tail = label_joint_log_weights(params, V)
-    out = np.logaddexp(logsumexp(logw, axis=-1), tail)
+    logw, tail = label_joint_log_weights(params, V) if joint is None else joint
+    out = log_sum_exp(logw, tail)
     return out[0] if single else out
 
 
-def cond_y_given_v(params: ModelParams, v) -> np.ndarray:
+def log_cond_y_given_v(params: ModelParams, v, *, joint=None) -> np.ndarray:
+    """log p(y | v) over all classes, kept in the log domain so a class far
+    below the best one keeps a finite log probability."""
+    lw = label_log_weights(params, v, joint=joint)
+    return lw - log_sum_exp(lw)[..., None]
+
+
+def cond_y_given_v(params: ModelParams, v, *, joint=None) -> np.ndarray:
     """p(y | v) over all classes, summing the full z support per class."""
-    lw = label_log_weights(params, v)
-    lw = lw - logsumexp(lw, axis=-1, keepdims=True)
-    return np.exp(lw)
+    return np.exp(log_cond_y_given_v(params, v, joint=joint))
 
 
-def marginal_z_posterior(params: ModelParams, v) -> ZPosterior:
+def marginal_z_posterior(params: ModelParams, v, *, A=None,
+                         joint=None) -> ZPosterior:
     """p(z | v) regardless of labels: for labeled models the classes are
-    summed out; otherwise this is the plain posterior."""
+    summed out; otherwise this is the plain posterior. A is the label-free
+    unit_inputs(params, v); joint, for labeled models, the
+    label_joint_log_weights of the same rows."""
     if not params.has_labels:
-        return z_posterior(params, v)
+        return z_posterior(params, v, A=A)
     V, single = _as_batch(v)
-    logw, tail = label_joint_log_weights(params, V)
-    head = logsumexp(logw, axis=1)              # (n, l+1)
-    tail = logsumexp(tail, axis=1)              # (n,)
-    log_norm = np.logaddexp(logsumexp(head, axis=-1), tail)
+    if joint is None:
+        joint = label_joint_log_weights(
+            params, V, A=None if A is None else np.atleast_2d(A))
+    logw, tail = joint
+    head = log_sum_exp(logw, axis=1)            # (n, l+1)
+    tail = log_sum_exp(tail)                    # (n,)
+    log_norm = log_sum_exp(head, tail)
     if single:
         return ZPosterior(head[0], tail[0], log_norm[0])
     return ZPosterior(head, tail, log_norm)
@@ -445,9 +522,8 @@ def cond_y_given_vz(params: ModelParams, v, z: int) -> np.ndarray:
         raise ValueError("model has no label weights")
     if z < 1:
         raise ValueError("z must be >= 1")
-    v = np.asarray(v, dtype=np.float64)
     m = min(z, params.l)
-    base = params.W[:m] @ v + params.c[:m]          # (m,)
+    base = unit_inputs(params, v)[:m]               # (m,)
     A = base[:, None] + params.U[:m]                # (m, C)
     pen = params.unit_penalties()[:m]
     logits = params.d + np.sum(softplus(A) - pen[:, None], axis=0)
@@ -502,19 +578,27 @@ def check_permutation(order, max_len: int) -> np.ndarray:
     return order
 
 
+def permute_units(block, order: np.ndarray) -> None:
+    """Reorder the first M hidden units in place: rows of W and U and entries
+    of c, on anything stored hidden-unit-major (parameters, or optimizer
+    state shaped like them). Only the M gathered rows are copied."""
+    m = order.shape[0]
+    if m:
+        block.W[:m] = block.W[order]
+        block.c[:m] = block.c[order]
+        if block.U is not None:
+            block.U[:m] = block.U[order]
+
+
 def apply_permutation(params: ModelParams, order) -> ModelParams:
-    """Reorder the first M hidden units (rows of W, U and entries of c) by
-    `order`; everything attached to the visible or label side is untouched.
+    """Copy of the model with the first M hidden units (rows of W, U and
+    entries of c) reordered by `order`; everything attached to the visible or
+    label side is untouched. `params` itself is left as it is.
 
     `order` is a 0-based permutation of 0..M-1 with M <= l: new unit k is old
     unit order[k]. The inverse reordering is argsort(order).
     """
     order = check_permutation(order, params.l)
     out = params.copy()
-    m = order.shape[0]
-    if m:
-        out.W[:m] = params.W[order]
-        out.c[:m] = params.c[order]
-        if params.has_labels:
-            out.U[:m] = params.U[order]
+    permute_units(out, order)
     return out

@@ -6,6 +6,16 @@ run the (P)CD negative phase; take a gradient step (decaying lr or ADAGRAD,
 per-unit momentum, L1/L2); project weight rows back onto their max-norm
 radii; and finally grow the pool by one zero unit when both phases sampled a
 cutoff beyond it.
+
+An update makes one activation pass (`model.unit_inputs`) per visible batch:
+the data batch before the step, which feeds the positive z draw, the first
+CD h draw, the positive gradient term and, for labeled models, the
+per-class weights of `model.label_joint_log_weights`, built once and read by
+both the positive label draw and `grad_discriminative_exact`; each negative
+batch (one per CD round, plus the particles' starting state under PCD),
+which feeds its z draw, the next h draw and the negative gradient term; and
+the data batch after the step, for the regroup statistic, which must read
+the updated parameters. CD-k thus makes k + 2 passes.
 """
 
 from __future__ import annotations
@@ -14,16 +24,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from . import sampling
 from .model import (
     ModelParams,
-    apply_permutation,
     cond_y_given_v,
     label_joint_log_weights,
+    log_sum_exp,
     marginal_z_posterior,
+    permute_units,
+    suffix_probs,
     unit_inputs,
+    with_label_inputs,
 )
 from .rng import stream
 from .sampling import FantasyChains, PhaseSamples
@@ -152,17 +165,21 @@ def _one_hot(y: np.ndarray, C: int) -> np.ndarray:
     return out
 
 
-def _phase_term(params: ModelParams, V, Z, Y, visible_bias: bool) -> Gradients:
+def _phase_term(params: ModelParams, V, Z, Y, visible_bias: bool, *,
+                A=None) -> Gradients:
     """Average of the per-example free-energy derivative over one phase.
 
     With a label column the derivative is of F(v, y, z); visible_bias=False
-    drops the b_v component, giving the derivative of G(y, z | v).
+    drops the b_v component, giving the derivative of G(y, z | v). A, when
+    given, is unit_inputs(params, V, Y).
     """
     V = np.asarray(V, dtype=np.float64)
     Z = np.asarray(Z, dtype=np.int64)
     n, l = V.shape[0], params.l
+    if A is None:
+        A = unit_inputs(params, V, Y)
     mask = (np.arange(l)[None, :] < Z[:, None]).astype(np.float64)
-    S = expit(unit_inputs(params, V, Y)) * mask
+    S = expit(A) * mask
     g = Gradients.zeros(params)
     g.W[:] = -(S.T @ V) / n
     g.c[:] = -S.mean(axis=0)
@@ -191,26 +208,21 @@ def grad_generative(params: ModelParams, pos: PhaseSamples,
     columns, when present, mean the phases run over the label-marginal model
     and carry sampled labels."""
     _check_tokens(pos, neg)
-    gp = _phase_term(params, pos.v, pos.z, pos.y, visible_bias=True)
-    gn = _phase_term(params, neg.v, neg.z, neg.y, visible_bias=True)
+    gp = _phase_term(params, pos.v, pos.z, pos.y, visible_bias=True, A=pos.a)
+    gn = _phase_term(params, neg.v, neg.z, neg.y, visible_bias=True, A=neg.a)
     return gp.plus(gn.scaled(-1.0))
 
 
-def _suffix_probs(logw: np.ndarray, tail: np.ndarray,
-                  log_norm: np.ndarray) -> np.ndarray:
-    """p(z >= i) for i = 1..l from per-z log weights plus a log tail mass."""
-    full = np.concatenate([logw, tail[..., None]], axis=-1)
-    suffix = np.logaddexp.accumulate(full[..., ::-1], axis=-1)[..., ::-1]
-    return np.exp(suffix[..., :-2] - log_norm[..., None])
-
-
-def grad_discriminative_exact(params: ModelParams, V, Y) -> Gradients:
+def grad_discriminative_exact(params: ModelParams, V, Y, *, A=None,
+                              joint=None) -> Gradients:
     """Exact gradient of -mean log p(y | v) for the materialized units.
 
     Uses the closed form: the derivative of the per-class free energy has
     rows -p(z >= i | v, y) * sigmoid(input_i) * v, and the data term minus
     the p(y | v)-weighted class average gives the objective gradient. Every
-    parameter beyond the pool keeps gradient zero.
+    parameter beyond the pool keeps gradient zero. A, when given, is the
+    label-free unit_inputs(params, V) and joint the
+    label_joint_log_weights(params, V) of the same batch.
     """
     if not params.has_labels:
         raise ValueError("discriminative gradient needs label weights")
@@ -219,13 +231,17 @@ def grad_discriminative_exact(params: ModelParams, V, Y) -> Gradients:
     if Y.shape[0] != V.shape[0]:
         raise ValueError("one label per example is required")
     n, l, C = V.shape[0], params.l, params.C
-    logw, tail = label_joint_log_weights(params, V)     # (n, C, l+1), (n, C)
-    log_norm = np.logaddexp(logsumexp(logw, axis=-1), tail)   # -F(y|v)
-    p_y = np.exp(log_norm - logsumexp(log_norm, axis=-1, keepdims=True))
-    P_geq = _suffix_probs(logw, tail, log_norm)          # (n, C, l)
-    base = V @ params.W.T + params.c
-    S = expit(base[:, None, :] + params.U.T[None, :, :])  # (n, C, l)
+    if A is None:
+        A = unit_inputs(params, V)
+    if joint is None:
+        joint = label_joint_log_weights(params, V, A=A)
+    logw, tail = joint                                  # (n, C, l+1), (n, C)
+    log_norm = log_sum_exp(logw, tail)                  # -F(y|v)
+    p_y = np.exp(log_norm - log_sum_exp(log_norm)[:, None])
+    P_geq = suffix_probs(logw, tail, log_norm)[..., :l]  # (n, C, l)
+    S = expit(A[:, None, :] + params.U.T[None, :, :])    # (n, C, l)
     R = P_geq * S
+    del S
 
     E = _one_hot(Y, C)
     R_data = R[np.arange(n), Y]                # (n, l)
@@ -245,10 +261,11 @@ def grad_discriminative_exact(params: ModelParams, V, Y) -> Gradients:
 
 
 def grad_discriminative_sampled(params: ModelParams, V, Y, z_pos,
-                                neg: PhaseSamples) -> Gradients:
+                                neg: PhaseSamples, *, A=None) -> Gradients:
     """Single-sample estimate of the discriminative gradient: the G
     derivative at (y_n, z_pos) minus the one at the label chain's end point.
     Higher variance than the exact form, but unbiased once the chain mixes.
+    A, when given, is the label-free unit_inputs(params, V).
     """
     if not params.has_labels:
         raise ValueError("discriminative gradient needs label weights")
@@ -256,9 +273,11 @@ def grad_discriminative_sampled(params: ModelParams, V, Y, z_pos,
                        z=np.asarray(z_pos, dtype=np.int64),
                        y=np.asarray(Y, dtype=np.int64),
                        step_token=neg.step_token)
+    if A is not None:
+        pos.a = with_label_inputs(params, A, pos.y)
     _check_tokens(pos, neg)
-    gp = _phase_term(params, pos.v, pos.z, pos.y, visible_bias=False)
-    gn = _phase_term(params, neg.v, neg.z, neg.y, visible_bias=False)
+    gp = _phase_term(params, pos.v, pos.z, pos.y, visible_bias=False, A=pos.a)
+    gn = _phase_term(params, neg.v, neg.z, neg.y, visible_bias=False, A=neg.a)
     return gp.plus(gn.scaled(-1.0))
 
 
@@ -358,12 +377,10 @@ def regroup_schedule_update(regroup: RegroupState, l: int,
 
 
 def _permute_rows(opt: OptimizerState, order: np.ndarray):
+    """Reorder the per-unit optimizer rows in place, like the parameters."""
+    permute_units(opt.acc, order)
+    permute_units(opt.vel, order)
     m = order.shape[0]
-    for g in (opt.acc, opt.vel):
-        g.W[:m] = g.W[order]
-        g.c[:m] = g.c[order]
-        if g.U is not None:
-            g.U[:m] = g.U[order]
     opt.unit_age[:m] = opt.unit_age[order]
 
 
@@ -486,15 +503,19 @@ class Trainer:
             vel -= step
             p += vel
 
-    def _positive_generative(self, V, t: int) -> PhaseSamples:
+    def _positive_generative(self, V, t: int, A, joint=None) -> PhaseSamples:
+        """Positive phase from the data batch's label-free inputs A; a
+        labeled model draws y from p(y | v), given by joint (the batch's
+        label_joint_log_weights)."""
         rng = stream(self.config.seed, "pos", t)
         if self.params.has_labels:
-            p_y = cond_y_given_v(self.params, V)
+            p_y = cond_y_given_v(self.params, V, joint=joint)
             y_draw = sampling.categorical_rows(p_y, rng)
-            z_pos = sampling.draw_z(self.params, V, y_draw, rng)
-            return PhaseSamples(v=V, z=z_pos, y=y_draw, step_token=t)
-        z_pos = sampling.draw_z(self.params, V, None, rng)
-        return PhaseSamples(v=V, z=z_pos, step_token=t)
+            A = with_label_inputs(self.params, A, y_draw)
+            z_pos = sampling.draw_z(self.params, V, y_draw, rng, A=A)
+            return PhaseSamples(v=V, z=z_pos, y=y_draw, step_token=t, a=A)
+        z_pos = sampling.draw_z(self.params, V, None, rng, A=A)
+        return PhaseSamples(v=V, z=z_pos, step_token=t, a=A)
 
     def _negative_generative(self, pos: PhaseSamples, t: int) -> PhaseSamples:
         cfg = self.config
@@ -504,7 +525,7 @@ class Trainer:
                                                 cfg.cd_steps, rng, step_token=t)
             return neg
         return sampling.run_cd(self.params, pos.v, pos.z, cfg.cd_steps, rng,
-                               Y=pos.y, step_token=t)
+                               Y=pos.y, step_token=t, A=pos.a)
 
     def update_step(self, V, Y=None) -> dict:
         """One minibatch update; returns a small stats record."""
@@ -517,8 +538,7 @@ class Trainer:
         m_now = current_regroup_length(self.regroup, params.l, cfg)
         if m_now >= 2:
             order = sample_permutation(m_now, stream(cfg.seed, "perm", t))
-            params = apply_permutation(params, order)
-            self.params = params
+            permute_units(params, order)
             _permute_rows(self.opt, order)
 
         l_before = params.l
@@ -526,9 +546,15 @@ class Trainer:
         grad = gen = None
         z_pos_max = 0
         z_neg_max = 0
+        A = unit_inputs(params, V)
+        # the per-class weights, when a consumer below needs them
+        joint = None
+        if params.has_labels and (cfg.objective != "discriminative"
+                                  or cfg.dis_grad == "exact"):
+            joint = label_joint_log_weights(params, V, A=A)
 
         if cfg.objective in ("generative", "hybrid"):
-            pos = self._positive_generative(V, t)
+            pos = self._positive_generative(V, t, A, joint)
             neg = self._negative_generative(pos, t)
             gen = grad_generative(params, pos, neg)
             z_pos_max = int(pos.z.max())
@@ -541,20 +567,24 @@ class Trainer:
                 # discriminative training; the materialized gradient may
                 # still be the exact one
                 z_pos_d = sampling.draw_z(params, V, Y,
-                                          stream(cfg.seed, "dpos", t))
+                                          stream(cfg.seed, "dpos", t),
+                                          A=with_label_inputs(params, A, Y))
                 neg_d = sampling.run_label_cd(params, V, Y, cfg.cd_steps,
                                               stream(cfg.seed, "dneg", t),
-                                              step_token=t)
+                                              step_token=t, A=A)
             if cfg.dis_grad == "sampled":
-                dis = grad_discriminative_sampled(params, V, Y, z_pos_d, neg_d)
+                dis = grad_discriminative_sampled(params, V, Y, z_pos_d, neg_d,
+                                                  A=A)
             else:
-                dis = grad_discriminative_exact(params, V, Y)
+                dis = grad_discriminative_exact(params, V, Y, A=A, joint=joint)
             if cfg.objective == "discriminative":
                 z_pos_max = int(z_pos_d.max())
                 z_neg_max = int(neg_d.z.max())
                 grad = dis
             else:
                 grad = hybrid_gradient(dis, gen, cfg.alpha, cfg.hybrid_convention)
+        # free the per-class weights before the regroup statistic builds its own
+        del joint
 
         self._apply_gradient(grad)
         max_norm_project(params, cfg.w_bound, cfg.u_bound)

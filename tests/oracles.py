@@ -230,3 +230,21 @@ def max_relative_error(a, b, floor=1e-8):
     a = np.asarray(a); b = np.asarray(b)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom))
+
+
+# -- samplers ------------------------------------------------------------------
+
+
+def sample_z_inverse_cdf(zp, rng):
+    """Reference z draw from a ZPosterior by the inverse CDF of its clamped
+    probabilities: one vector takes a scalar uniform and a right-sided
+    binary search, a batch one uniform per row and a count of the CDF
+    entries at or below it (clamped to l+1)."""
+    p = zp.clamped_probs()
+    cdf = np.cumsum(p, axis=-1)
+    if cdf.ndim == 1:
+        u = rng.random() * cdf[-1]
+        return int(np.searchsorted(cdf, u, side="right")) + 1
+    u = rng.random(cdf.shape[0]) * cdf[:, -1]
+    idx = (u[:, None] >= cdf).sum(axis=1)
+    return np.minimum(idx, zp.support - 1) + 1

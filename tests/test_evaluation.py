@@ -236,6 +236,24 @@ class TestPermutationAveragedLikelihood:
         got = permutation_averaged_condlik(m, X, Y, 1, stream(57, "pac"), m=0)
         assert got == pytest.approx(exact_cond_loglik(m, X, Y), abs=1e-12)
 
+    def test_far_class_keeps_a_finite_conditional_loglik(self):
+        # a logit gap of ~800 nats underflows p(y | v) to 0 in the
+        # probability domain
+        m = zero_model(D=3, C=2)
+        m.U[0] = [800.0, -800.0]
+        v = np.array([1.0, 0.0, 1.0])
+        per_class = []
+        for y in range(2):
+            per_class.append(oracles.log_pstar_truncated(m, v, m.l, y)
+                             + oracles.tail_correction(m, v, y))
+        want = per_class[1] - float(np.logaddexp(*per_class))
+        assert want == pytest.approx(-800.0, abs=1.0)
+        got = exact_cond_loglik(m, v[None, :], np.array([1]))
+        assert got == pytest.approx(want, abs=1e-9)
+        averaged = permutation_averaged_condlik(m, v[None, :], np.array([1]), 3,
+                                                stream(58, "pac-far"))
+        assert averaged == pytest.approx(want, abs=1e-9)
+
 
 class TestEffectiveSize:
     def test_zero_model_is_one(self):

@@ -5,12 +5,15 @@ the payload) followed by the payload holding model dimensions, penalty
 settings, all parameter arrays as raw float64, optimizer accumulators and
 velocities, per-unit ages, regroup bookkeeping, the persistent chains and
 the RNG counters (seed plus update count). Any flipped payload byte fails
-the crc check on load.
+the crc check on load. A save replaces the file atomically: the previous
+checkpoint stays readable until the new one is complete on disk.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -95,10 +98,21 @@ def save_checkpoint(path, data: CheckpointData):
         if data.chains.y is not None:
             _write_array(buf, data.chains.y, "<u2")
     payload = buf.getvalue()
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<IIQ", VERSION, zlib.crc32(payload), len(payload)))
-        f.write(payload)
+    # write a sibling file and rename it over the target, so a crash at any
+    # point leaves either the previous checkpoint or the new one
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<IIQ", VERSION, zlib.crc32(payload), len(payload)))
+            f.write(payload)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> CheckpointData:

@@ -240,6 +240,26 @@ def _epoch_metrics(trainer: Trainer, X, Y, config: RunConfig) -> dict:
 # -- commands ----------------------------------------------------------------------
 
 
+def _truncate_metrics(path: Path, epochs_done: int) -> bool:
+    """Cut a metrics file back to its header lines plus its first
+    epochs_done rows. A row is written before its epoch's checkpoint, so a
+    crash between the two leaves a row that the resumed run writes again.
+    Returns False when there is no file to continue."""
+    if not path.exists():
+        return False
+    columns = METRICS_COLUMNS.encode()
+    keep = rows = 0
+    with open(path, "rb+") as f:
+        for line in f:
+            if not line.startswith(b"#") and line.rstrip(b"\r\n") != columns:
+                if rows == epochs_done:
+                    break
+                rows += 1
+            keep += len(line)
+        f.truncate(keep)
+    return True
+
+
 def cmd_train(args) -> int:
     config = build_run_config(args.config, args.set)
     if args.dataset:
@@ -272,7 +292,7 @@ def cmd_train(args) -> int:
                              f"config says {config.train.seed}")
         trainer = Trainer(ckpt.params, config.train, n_train=data.n)
         trainer.restore(ckpt.opt, ckpt.regroup, ckpt.chains, ckpt.epochs_done)
-        mode = "a"
+        mode = "a" if _truncate_metrics(metrics_path, ckpt.epochs_done) else "w"
     else:
         params = zero_model(D=data.D, C=data.n_classes if labeled else 0,
                             beta=config.beta, penalty_mode=config.penalty_mode)
@@ -604,7 +624,11 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--perm-length", type=int, default=None,
                    help="units to permute (default: the checkpoint's M_t)")
     e.add_argument("--converted-rbm", action="store_true")
-    e.add_argument("--exact-cap", type=int, default=EXACT_D_CAP)
+    e.add_argument("--exact-cap", type=int, default=EXACT_D_CAP,
+                   help="enumerate all 2^D visible vectors when D is at "
+                        "most this (default %(default)s), else use AIS: "
+                        "2^D * (l+1) cells of work (times C with labels) "
+                        "and 8 * 2^D bytes plus one block of memory")
     e.add_argument("--ais-temps", type=int, default=1000)
     e.add_argument("--ais-chains", type=int, default=100)
     e.add_argument("--seed", type=int, default=0)
@@ -625,7 +649,11 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--dataset", help="optional data for the invariance report")
     c.add_argument("--split", default="train")
     c.add_argument("--perms", type=int, default=5)
-    c.add_argument("--exact-cap", type=int, default=EXACT_D_CAP)
+    c.add_argument("--exact-cap", type=int, default=EXACT_D_CAP,
+                   help="run the exact checks when D is at most this "
+                        "(default %(default)s): 2^D * (l+1) cells of work "
+                        "(times C with labels) and 8 * 2^D bytes plus one "
+                        "block of memory")
     c.add_argument("--seed", type=int, default=0)
     c.set_defaults(func=cmd_check)
 

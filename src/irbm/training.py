@@ -136,6 +136,12 @@ class Gradients:
             d=None if self.d is None else self.d * s,
         )
 
+    def __isub__(self, other: "Gradients") -> "Gradients":
+        """Subtract other block by block, in place."""
+        for name, arr in self.blocks():
+            arr -= getattr(other, name)
+        return self
+
     def plus(self, other: "Gradients") -> "Gradients":
         return Gradients(
             W=self.W + other.W, b_v=self.b_v + other.b_v, c=self.c + other.c,
@@ -209,8 +215,8 @@ def grad_generative(params: ModelParams, pos: PhaseSamples,
     and carry sampled labels."""
     _check_tokens(pos, neg)
     gp = _phase_term(params, pos.v, pos.z, pos.y, visible_bias=True, A=pos.a)
-    gn = _phase_term(params, neg.v, neg.z, neg.y, visible_bias=True, A=neg.a)
-    return gp.plus(gn.scaled(-1.0))
+    gp -= _phase_term(params, neg.v, neg.z, neg.y, visible_bias=True, A=neg.a)
+    return gp
 
 
 def grad_discriminative_exact(params: ModelParams, V, Y, *, A=None,
@@ -277,8 +283,8 @@ def grad_discriminative_sampled(params: ModelParams, V, Y, z_pos,
         pos.a = with_label_inputs(params, A, pos.y)
     _check_tokens(pos, neg)
     gp = _phase_term(params, pos.v, pos.z, pos.y, visible_bias=False, A=pos.a)
-    gn = _phase_term(params, neg.v, neg.z, neg.y, visible_bias=False, A=neg.a)
-    return gp.plus(gn.scaled(-1.0))
+    gp -= _phase_term(params, neg.v, neg.z, neg.y, visible_bias=False, A=neg.a)
+    return gp
 
 
 def hybrid_gradient(dis: Gradients, gen: Gradients, alpha: float,
@@ -474,15 +480,20 @@ class Trainer:
         return unit, glob
 
     def _apply_gradient(self, grad: Gradients):
+        """One optimizer step from grad, which is overwritten: each block
+        becomes its step, computed in place with one scratch array for
+        ADAGRAD's g*g and sqrt(acc) + eps."""
         cfg = self.config
         if cfg.l2_weight:
             grad.W += cfg.l2_weight * self.params.W
             if grad.U is not None:
                 grad.U += cfg.l2_weight * self.params.U
         if cfg.l1_weight:
-            grad.W += cfg.l1_weight * np.sign(self.params.W)
-            if grad.U is not None:
-                grad.U += cfg.l1_weight * np.sign(self.params.U)
+            for g, w in ((grad.W, self.params.W), (grad.U, self.params.U)):
+                if g is not None:
+                    s = np.sign(w)
+                    s *= cfg.l1_weight
+                    g += s
         grad.check_finite()
         unit_m, glob_m = self._momentum()
         lr = cfg.global_lr
@@ -493,14 +504,18 @@ class Trainer:
             vel = getattr(self.opt.vel, name)
             if cfg.lr_mode == "adagrad":
                 acc = getattr(self.opt.acc, name)
-                acc += g * g
-                step = lr * g / (np.sqrt(acc) + cfg.adagrad_eps)
+                scratch = np.multiply(g, g)
+                acc += scratch
+                np.sqrt(acc, out=scratch)
+                scratch += cfg.adagrad_eps
+                np.multiply(g, lr, out=g)
+                g /= scratch
             else:
-                step = lr * g
+                np.multiply(g, lr, out=g)
             m = glob_m if name in ("b_v", "d") else (
                 unit_m[:, None] if g.ndim == 2 else unit_m)
             vel *= m
-            vel -= step
+            vel -= g
             p += vel
 
     def _positive_generative(self, V, t: int, A, joint=None) -> PhaseSamples:

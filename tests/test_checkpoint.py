@@ -133,3 +133,46 @@ class TestIntegrity:
         path.write_bytes(raw[: len(raw) - 10])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+class TestAtomicSave:
+    """A save that fails part way leaves the previous checkpoint in place,
+    byte for byte, and no temporary file next to it."""
+
+    def save_then_fail(self, tmp_path, monkeypatch, target, error):
+        trainer, config, X, _ = trained_state(epochs=1)
+        path = tmp_path / "ck.irbm"
+
+        def data():
+            return CheckpointData(
+                params=trainer.params, opt=trainer.opt,
+                regroup=trainer.regroup, chains=trainer.chains,
+                seed=config.seed, epochs_done=trainer.epochs_done)
+
+        save_checkpoint(path, data())
+        before = path.read_bytes()
+        trainer.run_epoch(X)
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(target[0], target[1], fail)
+        with pytest.raises(type(error)):
+            save_checkpoint(path, data())
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.irbm"]
+        back = load_checkpoint(path)
+        assert back.epochs_done == 1
+        save_checkpoint(path, data())
+        assert load_checkpoint(path).epochs_done == 2
+
+    def test_failure_while_serializing(self, tmp_path, monkeypatch):
+        import irbm.checkpoint as ck
+        self.save_then_fail(tmp_path, monkeypatch, (ck, "_write_param_set"),
+                            RuntimeError("serialization failed"))
+
+    def test_failure_after_the_bytes_are_written(self, tmp_path, monkeypatch):
+        import irbm.checkpoint as ck
+        self.save_then_fail(tmp_path, monkeypatch, (ck.os, "fsync"),
+                            OSError("disk went away"))

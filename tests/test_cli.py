@@ -53,6 +53,39 @@ class TestTrain:
         rows = (out_b / "metrics.csv").read_text().strip().splitlines()
         assert [r.split(",")[0] for r in rows[2:]] == ["1", "2", "3", "4"]
 
+    def test_resume_after_crash_before_checkpoint_keeps_one_row_per_epoch(
+            self, tmp_path, capsys, monkeypatch):
+        import irbm.cli as cli
+        args = ["train", "--dataset", "bars:side=3,n=120,seed=1",
+                "--set", "minibatch_size=40", "--set", "seed=5"]
+        out_a = tmp_path / "straight"
+        assert run([*args, "--out-dir", out_a, "--epochs", 4]) == 0
+
+        # the third epoch's row is written, then its checkpoint save fails
+        save = cli.save_checkpoint
+        saves = []
+
+        def crash_on_third(path, data):
+            saves.append(data.epochs_done)
+            if len(saves) == 3:
+                raise OSError("killed")
+            save(path, data)
+
+        monkeypatch.setattr(cli, "save_checkpoint", crash_on_third)
+        out_b = tmp_path / "crashed"
+        assert run([*args, "--out-dir", out_b, "--epochs", 4]) == 2
+        monkeypatch.undo()
+        rows = (out_b / "metrics.csv").read_text().strip().splitlines()
+        assert [r.split(",")[0] for r in rows[2:]] == ["1", "2", "3"]
+        assert load_checkpoint(out_b / "checkpoint.irbm").epochs_done == 2
+
+        assert run([*args, "--out-dir", out_b, "--epochs", 4,
+                    "--resume", out_b / "checkpoint.irbm"]) == 0
+        assert ((out_b / "metrics.csv").read_text()
+                == (out_a / "metrics.csv").read_text())
+        assert ((out_b / "checkpoint.irbm").read_bytes()
+                == (out_a / "checkpoint.irbm").read_bytes())
+
     def test_seed_mismatch_on_resume_rejected(self, tmp_path, capsys):
         out = train_small(tmp_path, epochs=1)
         code = run(["train", "--dataset", "bars:side=3,n=120,seed=1",

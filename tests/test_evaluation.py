@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import expit, logsumexp
 
 import oracles
 from conftest import make_model, random_binary
@@ -19,11 +21,22 @@ from irbm.evaluation import (
     exact_log_partition,
     exact_loglik,
     exact_visible_distribution,
+    exact_generative_gradient,
     full_report,
+    log_pstar,
     permutation_averaged_condlik,
     permutation_averaged_loglik,
 )
-from irbm.model import LN2, ModelParams, apply_permutation, zero_model, z_posterior
+from irbm.evaluation import _block_bits, _visible_blocks
+from irbm.model import (
+    LN2,
+    ModelParams,
+    apply_permutation,
+    free_energy,
+    unit_inputs,
+    zero_model,
+    z_posterior,
+)
 from irbm.rng import stream
 from irbm.sampling import gibbs_sweep
 
@@ -377,3 +390,122 @@ class TestFullReport:
         data = json.loads(report.to_json())
         assert data["avg_loglik"] == -1.5
         assert data["z_m_histogram"]["2"] == 5
+
+
+# -- block enumeration --------------------------------------------------------
+
+# (C, penalty mode, l): unlabeled, labeled and dynamic-penalty models, plus
+# one so wide that its blocks shrink to the row floor. For weight matrices
+# that wide OpenBLAS may take another kernel path at the matrix edge when
+# the row count changes, so its per-row values are only required to agree
+# within 1e-12; the others keep their bits.
+ENUM_KINDS = {
+    "plain": (0, "constant", 61),
+    "labeled": (3, "constant", 7),
+    "dynamic": (0, "dynamic", 20),
+    "wide": (0, "constant", 600),
+}
+ENUM_DIMS = (1, 2, 3, 9, 10, 11, 14, 16)
+# the one-shot reference of the wide model grows past 100 MB above D=11
+ENUM_CASES = [(D, kind) for kind in sorted(ENUM_KINDS) for D in ENUM_DIMS
+              if kind != "wide" or D <= 11]
+# memory an exact evaluation may use on top of its 8 * 2^D byte vector
+BLOCK_ALLOWANCE = 8 * 2 ** 20
+
+
+def enum_model(D, kind):
+    C, mode, l = ENUM_KINDS[kind]
+    return make_model(900 + D, D=D, l=l, C=C, scale=0.5, mode=mode)
+
+
+def one_shot_log_pstar(m):
+    return log_pstar(m, all_binary_vectors(m.D))
+
+
+def peak_traced_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockEnumeration:
+    @pytest.mark.parametrize("D,kind", ENUM_CASES)
+    def test_blocks_cover_every_vector_in_order(self, D, kind):
+        m = enum_model(D, kind)
+        rows = []
+        for start, V in _visible_blocks(m):
+            assert start == sum(r.shape[0] for r in rows)
+            assert V.shape == (2 ** _block_bits(m), D)
+            rows.append(V.copy())
+        assert np.array_equal(np.vstack(rows), all_binary_vectors(D))
+
+    def test_dims_straddle_the_block_width(self):
+        # the cases above include D below the low-bit width and D that is
+        # not a multiple of it, for every model kind
+        for kind in ENUM_KINDS:
+            lo = _block_bits(enum_model(16, kind))
+            assert 1 < lo < 16
+            dims = [D for D, k in ENUM_CASES if k == kind]
+            assert any(D < lo for D in dims)
+            assert any(D > lo and D % lo for D in dims)
+
+    @pytest.mark.parametrize("D,kind", ENUM_CASES)
+    def test_partition_and_distribution_match_one_shot(self, D, kind):
+        m = enum_model(D, kind)
+        lp = one_shot_log_pstar(m)
+        log_z = float(logsumexp(lp))
+        got = exact_log_partition(m, cap=16)
+        assert got == pytest.approx(log_z, abs=1e-12)
+        p = exact_visible_distribution(m, cap=16)
+        want = np.exp(lp - logsumexp(lp))
+        assert np.max(np.abs(p - want)) <= 1e-12
+        if kind != "wide":
+            assert got == log_z
+            assert np.array_equal(p, want)
+
+    @pytest.mark.parametrize("mode", ["constant", "dynamic"])
+    @pytest.mark.parametrize("D", [3, 11])
+    def test_generative_gradient_matches_one_shot(self, D, mode):
+        m = make_model(930 + D, D=D, l=61, scale=0.5, mode=mode)
+        X = random_binary(931, 9, D)
+        all_v = all_binary_vectors(D)
+        lp = log_pstar(m, all_v)
+        p = np.exp(lp - logsumexp(lp))
+
+        def term(V, w):
+            A = unit_inputs(m, V)
+            Pg = z_posterior(m, V).p_z_geq()[:, :m.l]
+            R = Pg * expit(A) * w[:, None]
+            c = -R.sum(axis=0)
+            if mode == "dynamic":
+                c += m.penalty.beta * expit(m.c) * (Pg * w[:, None]).sum(axis=0)
+            return -R.T @ V, -(V * w[:, None]).sum(axis=0), c
+
+        data = term(X, np.full(X.shape[0], 1.0 / X.shape[0]))
+        model = term(all_v, p)
+        got = exact_generative_gradient(m, X)
+        for g, d, mo in zip((got.W, got.b_v, got.c), data, model):
+            assert np.max(np.abs(g - (d - mo))) <= 1e-12
+
+    @pytest.mark.parametrize("D", [3, 11, 14])
+    def test_converted_rbm_matches_one_shot(self, D):
+        m = make_model(940 + D, D=D, l=61, scale=0.5)
+        X = random_binary(941, 7, D)
+        for n_h in (1, 30, 61):
+            want = (np.mean(-free_energy(m, X, n_h))
+                    - logsumexp(-free_energy(m, all_binary_vectors(D), n_h)))
+            got = converted_rbm_loglik(m, X, n_h, cap=16)
+            assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("D,l,C", [(16, 61, 0), (20, 8, 0), (14, 30, 10)])
+    def test_memory_stays_within_vector_plus_one_block(self, D, l, C):
+        # a one-shot enumeration holds several 2^D x (l+1) [x C] arrays:
+        # about 100 MB, 370 MB and 120 MB for these three
+        m = make_model(950 + D, D=D, l=l, C=C, scale=0.3)
+        budget = 8 * 2 ** D + BLOCK_ALLOWANCE
+        assert budget <= 16 * 2 ** 20 + 8 * 2 ** D
+        peak = peak_traced_bytes(exact_log_partition, m, D)
+        assert peak <= budget, f"peak {peak / 2 ** 20:.1f} MB"

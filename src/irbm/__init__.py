@@ -5,33 +5,18 @@ from .model import (
     PenaltyConfig,
     ZPosterior,
     apply_permutation,
-    cond_h_given_vz,
-    cond_v_given_hz,
-    cond_y_given_hz,
     cond_y_given_v,
-    cond_y_given_vz,
-    energy,
     free_energy,
-    g_energy,
-    marginal_h_prob,
     marginal_z_posterior,
-    ordering_diagnostic,
     z_posterior,
     zero_model,
 )
 from .sampling import (
     FantasyChains,
-    GibbsChainState,
-    JointChainState,
-    LabelChainState,
     PhaseSamples,
-    gibbs_step_discriminative,
-    gibbs_step_generative,
-    gibbs_step_joint,
     run_cd,
     run_label_cd,
     run_pcd,
-    sample_z_given_v,
 )
 from .training import (
     Gradients,
@@ -59,6 +44,7 @@ from .evaluation import (
     exact_generative_gradient,
     exact_log_partition,
     exact_loglik,
+    log_partition_estimator,
     permutation_averaged_condlik,
     permutation_averaged_loglik,
 )
@@ -66,7 +52,6 @@ from .datasets import (
     Dataset,
     binarize_stochastic,
     load_mnist_idx,
-    load_silhouettes,
     read_ibmp,
     synth_bars_and_stripes,
     synth_shifted_patterns,

@@ -213,16 +213,14 @@ def _epoch_metrics(trainer: Trainer, X, Y, config: RunConfig) -> dict:
     take = min(n, config.metrics_subsample)
     idx = rng.choice(n, size=take, replace=False) if take < n else np.arange(n)
     sub_x = X[idx]
+    method, log_z = evaluation.log_partition_estimator(
+        params, sub_x, rng, config.exact_cap, config.ais_temps,
+        config.ais_chains)
     avg_loglik = None
-    if params.D <= config.exact_cap:
-        avg_loglik = evaluation.exact_loglik(params, sub_x, config.exact_cap)
-    elif trainer.epochs_done % config.eval_every == 0:
-        # too large for enumeration: estimate the partition on the sparse
-        # cadence only
-        ais = evaluation.ais_log_partition(params, config.ais_temps,
-                                           config.ais_chains, rng,
-                                           base_means=sub_x.mean(axis=0))
-        avg_loglik = float(np.mean(evaluation.log_pstar(params, sub_x))) - ais.log_z
+    # AIS is too costly for every epoch: it runs on the eval_every cadence
+    if method == "exact" or trainer.epochs_done % config.eval_every == 0:
+        log_z_value, _ = log_z(params)
+        avg_loglik = float(np.mean(evaluation.log_pstar(params, sub_x))) - log_z_value
     error = None
     if Y is not None and params.has_labels:
         error, _, _, _ = evaluation.classification_metrics(params, sub_x, Y[idx])
@@ -343,13 +341,14 @@ def cmd_eval(args) -> int:
                          cap=args.exact_cap, ais_temps=args.ais_temps,
                          ais_chains=args.ais_chains)
     extra = {"dataset": args.dataset, "split": args.split, "perm_length": m_t}
-    if args.perms > 1 and m_t >= 2:
+    if args.perms > 1 and m_t >= 2 and report.method == "exact":
+        single_rng = stream(args.seed, "eval-single")
+        _, log_z = evaluation.log_partition_estimator(
+            ckpt.params, X, single_rng, args.exact_cap)
         single = evaluation.permutation_averaged_loglik(
-            ckpt.params, X, 1, stream(args.seed, "eval-single"), m=m_t) \
-            if ckpt.params.D <= args.exact_cap else None
-        if single is not None:
-            extra["single_order_loglik"] = single
-            extra["perm_average_gain"] = report.avg_loglik - single
+            ckpt.params, X, 1, single_rng, m=m_t, log_z=log_z)
+        extra["single_order_loglik"] = single
+        extra["perm_average_gain"] = report.avg_loglik - single
     if args.converted_rbm:
         n_h = report.n_h
         extra["converted_rbm_n_h"] = n_h

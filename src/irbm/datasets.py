@@ -32,11 +32,13 @@ class Dataset:
     split: str = "train"
 
     def __post_init__(self):
-        self.X = np.ascontiguousarray(self.X, dtype=np.uint8)
-        if self.X.ndim != 2:
+        X = np.asarray(self.X)
+        if X.ndim != 2:
             raise ValueError("X must be (n, D)")
-        if np.any(self.X > 1):
+        # checked before the cast, which would truncate 0.7 to 0
+        if not np.all((X == 0) | (X == 1)):
             raise ValueError("examples must be binary")
+        self.X = np.ascontiguousarray(X, dtype=np.uint8)
         if self.y is not None:
             self.y = np.ascontiguousarray(self.y, dtype=np.int32)
             if self.y.shape != (self.X.shape[0],):
@@ -169,16 +171,6 @@ def read_ibmp(path) -> dict:
         if trailing:
             raise ValueError("trailing bytes after the declared splits")
     return out
-
-
-def load_silhouettes(path) -> dict:
-    """Load the silhouette corpus from its packed-bitmap file.
-
-    The published distribution ships in a scientific container; see the
-    README for the one-liner that converts it into this format (784 pixels,
-    101 classes, splits of 4100 / 2264 / 2307 examples).
-    """
-    return read_ibmp(path)
 
 
 # -- synthetic families ---------------------------------------------------------

@@ -290,6 +290,29 @@ def ais_log_partition(params: ModelParams, n_temps: int, n_chains: int,
                      log_weights=log_w)
 
 
+def log_partition_estimator(params: ModelParams, X, rng: np.random.Generator,
+                            cap: int = EXACT_D_CAP, ais_temps: int = 1000,
+                            ais_chains: int = 100):
+    """The one place that chooses how log Z is computed: exact enumeration
+    when D <= cap, AIS otherwise, annealing from base visible biases matched
+    to the mean of X and drawing from rng.
+
+    Returns (method, log_z): method is "exact" or "ais", and log_z(p) gives
+    (log Z, its standard error or None) for `params` or any permutation of
+    it, with the cap applied.
+    """
+    if params.D <= cap:
+        return "exact", lambda p: (exact_log_partition(p, cap), None)
+    base_means = np.atleast_2d(np.asarray(X, dtype=np.float64)).mean(axis=0)
+
+    def ais(p):
+        result = ais_log_partition(p, ais_temps, ais_chains, rng,
+                                   base_means=base_means)
+        return result.log_z, result.std_err
+
+    return "ais", ais
+
+
 # -- order invariance ---------------------------------------------------------
 
 
@@ -354,23 +377,22 @@ def check_order_invariance(params: ModelParams, X, m: int, n_perms: int,
 
 def permutation_averaged_loglik(params: ModelParams, X, n_perms: int,
                                 rng: np.random.Generator, m: int | None = None,
-                                log_z_fn=None) -> float:
+                                log_z=None) -> float:
     """Mean over examples of log of the probability-domain average of
     p(v | order) over sampled permutations of the first m units.
 
-    log_z_fn maps a permuted model to its log partition; the default is the
-    exact enumeration (so the caller must supply an AIS-backed one for large
-    models).
+    log_z is the estimator of `log_partition_estimator`; by default the one
+    it picks for (params, X, rng) with its default cap and AIS settings.
     """
-    if log_z_fn is None:
-        log_z_fn = exact_log_partition
+    if log_z is None:
+        _, log_z = log_partition_estimator(params, X, rng)
     m = params.l if m is None else m
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     per_perm = np.empty((max(1, n_perms), X.shape[0]))
     for j in range(max(1, n_perms)):
         order = sample_permutation(m, rng)
         pj = apply_permutation(params, order)
-        per_perm[j] = log_pstar(pj, X) - log_z_fn(pj)
+        per_perm[j] = log_pstar(pj, X) - log_z(pj)[0]
     return float(np.mean(logsumexp(per_perm, axis=0) - np.log(per_perm.shape[0])))
 
 
@@ -496,8 +518,8 @@ def full_report(params: ModelParams, X, Y=None, n_perms: int = 1, m: int = 0,
                 minibatch_size: int = 100) -> EvalReport:
     """Assemble the standard evaluation record for a dataset.
 
-    Picks exact evaluation when every visible vector can be enumerated and
-    AIS otherwise; the permutation average is used when m >= 2 and more than
+    log Z comes from `log_partition_estimator` (exact under the cap, AIS
+    above it); the permutation average is used when m >= 2 and more than
     one permutation is requested.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -506,24 +528,12 @@ def full_report(params: ModelParams, X, Y=None, n_perms: int = 1, m: int = 0,
     report = EvalReport(n_perms=n_perms)
     zp = marginal_z_posterior(params, X)
     report.n_h = effective_hidden_size(params, X, minibatch_size, zp=zp)
-    if params.D <= cap:
-        report.method = "exact"
-        log_z_fn = exact_log_partition
-        report.log_z = exact_log_partition(params, cap)
-    else:
-        report.method = "ais"
-
-        def log_z_fn(p):
-            return ais_log_partition(p, ais_temps, ais_chains, rng,
-                                     base_means=X.mean(axis=0)).log_z
-
-        first = ais_log_partition(params, ais_temps, ais_chains, rng,
-                                  base_means=X.mean(axis=0))
-        report.log_z = first.log_z
-        report.log_z_std_err = first.std_err
+    report.method, log_z = log_partition_estimator(params, X, rng, cap,
+                                                   ais_temps, ais_chains)
+    report.log_z, report.log_z_std_err = log_z(params)
     if n_perms > 1 and m >= 2:
         report.avg_loglik = permutation_averaged_loglik(
-            params, X, n_perms, rng, m=m, log_z_fn=log_z_fn)
+            params, X, n_perms, rng, m=m, log_z=log_z)
     else:
         report.avg_loglik = float(np.mean(log_pstar(params, X, zp=zp))) - report.log_z
     if Y is not None and params.has_labels:

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 LN2 = float(np.log(2.0))
 
@@ -251,37 +250,6 @@ def cumulative_unit_terms(params: ModelParams, v, y=None, *, A=None) -> np.ndarr
     return out
 
 
-def energy(params: ModelParams, v, h, z: int, y=None) -> float:
-    """Joint energy of (v, h, z) (and a label, when given).
-
-    Units i <= z contribute -h_i * input_i plus the penalty beta_i; units
-    beyond the materialized pool enter with zero weights and penalty
-    beta*ln2. The caller must supply h_i = 0 for every i > z.
-    """
-    if z < 1:
-        raise ValueError("z must be >= 1")
-    v = np.asarray(v, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if v.shape != (params.D,):
-        raise ValueError(f"v has shape {v.shape}, model D={params.D}")
-    if h.ndim != 1:
-        raise ValueError("h must be a vector")
-    if np.any(h[z:] != 0):
-        raise ValueError(f"h must be zero beyond index z={z}")
-    l = params.l
-    a = unit_inputs(params, v, y)
-    m = min(z, l)
-    e = -float(v @ params.b_v)
-    if y is not None:
-        e -= float(params.d[int(y)])
-    e -= float(h[:m] @ a[:m])
-    pen = params.unit_penalties()
-    e += float(np.sum(pen[:m]))
-    if z > l:
-        e += (z - l) * params.penalty.beta_zero
-    return e
-
-
 def free_energy(params: ModelParams, v, z: int, y=None):
     """-log sum_{h in H_z} e^{-E(v, h, z)}; the label variant includes the
     label bias. For z beyond the pool each extra unit adds beta_zero - ln2.
@@ -301,16 +269,6 @@ def free_energy(params: ModelParams, v, z: int, y=None):
         s = cum[:, l - 1] + (z - l) * params.penalty.log_tail_ratio
     F = -(base + s)
     return float(F[0]) if single else F
-
-
-def g_energy(params: ModelParams, v, z: int, y):
-    """Label-conditional free energy: free_energy(v, y, z) with the visible
-    bias term dropped (it cancels in every conditional given v)."""
-    F = free_energy(params, v, z, y)
-    V, single = _as_batch(v)
-    vb = V @ params.b_v
-    G = F + (float(vb[0]) if single else vb)
-    return G
 
 
 @dataclass
@@ -398,50 +356,6 @@ def z_posterior(params: ModelParams, v, y=None, *, A=None) -> ZPosterior:
     return ZPosterior(head, tail, log_norm)
 
 
-def cond_h_given_vz(params: ModelParams, v, z: int, y=None,
-                    length: int | None = None) -> np.ndarray:
-    """Bernoulli means of the first z hidden units given (v, z) (and a label).
-
-    Entries beyond the materialized pool (possible only for z = l+1) have
-    zero parameters, hence mean 1/2. With `length` > z the result is padded
-    with zeros: units above the cutoff are never active.
-    """
-    if z < 1:
-        raise ValueError("z must be >= 1")
-    n = length if length is not None else z
-    if n < z:
-        raise ValueError("length must be >= z")
-    a = unit_inputs(params, v, y)
-    means = np.zeros(n)
-    m = min(z, params.l)
-    means[:m] = expit(a[:m])
-    if z > params.l:
-        means[params.l:z] = 0.5
-    return means
-
-
-def cond_v_given_hz(params: ModelParams, h, z: int) -> np.ndarray:
-    """Bernoulli means of the visible units given the first z hidden ones."""
-    if z < 1:
-        raise ValueError("z must be >= 1")
-    h = np.asarray(h, dtype=np.float64)
-    m = min(z, params.l)
-    act = params.b_v + h[:m] @ params.W[:m]
-    return expit(act)
-
-
-def cond_y_given_hz(params: ModelParams, h, z: int) -> np.ndarray:
-    """Class probabilities given the first z hidden units."""
-    if not params.has_labels:
-        raise ValueError("model has no label weights")
-    h = np.asarray(h, dtype=np.float64)
-    m = min(z, params.l)
-    logits = params.d + h[:m] @ params.U[:m]
-    logits = logits - logits.max()
-    p = np.exp(logits)
-    return p / p.sum()
-
-
 def label_joint_log_weights(params: ModelParams, V, *,
                             A=None) -> tuple[np.ndarray, np.ndarray]:
     """Per-class unnormalized z weights for a batch.
@@ -514,58 +428,6 @@ def marginal_z_posterior(params: ModelParams, v, *, A=None,
     if single:
         return ZPosterior(head[0], tail[0], log_norm[0])
     return ZPosterior(head, tail, log_norm)
-
-
-def cond_y_given_vz(params: ModelParams, v, z: int) -> np.ndarray:
-    """p(y | v, z), the label conditional at a fixed cutoff."""
-    if not params.has_labels:
-        raise ValueError("model has no label weights")
-    if z < 1:
-        raise ValueError("z must be >= 1")
-    m = min(z, params.l)
-    base = unit_inputs(params, v)[:m]               # (m,)
-    A = base[:, None] + params.U[:m]                # (m, C)
-    pen = params.unit_penalties()[:m]
-    logits = params.d + np.sum(softplus(A) - pen[:, None], axis=0)
-    logits = logits - logits.max()
-    p = np.exp(logits)
-    return p / p.sum()
-
-
-def marginal_h_prob(params: ModelParams, v, unit: int) -> float:
-    """p(h_unit = 1 | v) for the 1-based unit index: the unit's own sigmoid
-    activation damped by p(z >= unit | v)."""
-    if not 1 <= unit <= params.l:
-        raise ValueError(f"unit must be in 1..{params.l}")
-    a = unit_inputs(params, v)
-    zp = z_posterior(params, v)
-    return float(expit(a[unit - 1]) * zp.p_z_geq()[unit - 1])
-
-
-@dataclass
-class OrderingDiagnostic:
-    """Per-unit view of how the left-to-right ordering gates activations."""
-
-    activation: np.ndarray       # (l,) sigmoid(input_i)
-    p_z_geq: np.ndarray          # (l,) p(z >= i | v)
-    marginal: np.ndarray         # (l,) product of the two
-    p_z_at_pool: float           # p(z = l | v)
-    tail_prob: float             # p(z > l | v)
-
-
-def ordering_diagnostic(params: ModelParams, v) -> OrderingDiagnostic:
-    a = unit_inputs(params, v)
-    zp = z_posterior(params, v)
-    act = expit(a)
-    geq = zp.p_z_geq()[:params.l]
-    head = zp.head_probs()
-    return OrderingDiagnostic(
-        activation=act,
-        p_z_geq=geq,
-        marginal=act * geq,
-        p_z_at_pool=float(head[params.l - 1]),
-        tail_prob=float(head[params.l] + zp.tail_prob()),
-    )
 
 
 def check_permutation(order, max_len: int) -> np.ndarray:

@@ -36,32 +36,6 @@ from .model import (
 
 
 @dataclass
-class GibbsChainState:
-    """One fantasy particle of the generative chain."""
-
-    v: np.ndarray            # (D,) binary
-    z: int = 1
-    stream_id: int = 0
-
-
-@dataclass
-class LabelChainState:
-    """State of the label chain used for discriminative sampling (v clamped)."""
-
-    y: int
-    z: int = 1
-
-
-@dataclass
-class JointChainState:
-    """Fantasy particle over (v, y) for models with label units."""
-
-    v: np.ndarray
-    y: int
-    z: int = 1
-
-
-@dataclass
 class FantasyChains:
     """Persistent negative-phase particles. Only the visible state (and the
     label, for joint chains) survives between updates; z is redrawn from its
@@ -163,39 +137,6 @@ def gibbs_sweep(params: ModelParams, V, Y, rng, *, A=None):
     Vn = draw_v(params, H, rng)
     Yn = draw_y(params, H, rng) if Y is not None else None
     return Vn, Yn, Z
-
-
-def sample_z_given_v(params: ModelParams, v, rng, y=None) -> int:
-    """Single-vector cutoff draw from the full posterior (tail clamped)."""
-    return int(z_posterior(params, v, y).sample(rng))
-
-
-def gibbs_step_generative(params: ModelParams, chain: GibbsChainState,
-                          rng) -> GibbsChainState:
-    """One z -> h -> v sweep of the generative chain."""
-    V = np.asarray(chain.v, dtype=np.float64)[None, :]
-    Vn, _, Z = gibbs_sweep(params, V, None, rng)
-    return GibbsChainState(v=Vn[0].astype(np.uint8), z=int(Z[0]),
-                           stream_id=chain.stream_id)
-
-
-def gibbs_step_joint(params: ModelParams, chain: JointChainState,
-                     rng) -> JointChainState:
-    """One z -> h -> (v, y) sweep of the joint chain."""
-    V = np.asarray(chain.v, dtype=np.float64)[None, :]
-    Y = np.array([chain.y])
-    Vn, Yn, Z = gibbs_sweep(params, V, Y, rng)
-    return JointChainState(v=Vn[0].astype(np.uint8), y=int(Yn[0]), z=int(Z[0]))
-
-
-def gibbs_step_discriminative(params: ModelParams, v, state: LabelChainState,
-                              rng) -> LabelChainState:
-    """Alternate z ~ p(z | v, y) and y ~ p(y | v, z) with v clamped."""
-    V = np.asarray(v, dtype=np.float64)[None, :]
-    Y = np.array([state.y])
-    Z = draw_z(params, V, Y, rng)
-    Yn = draw_y_given_vz(params, V, Z, rng)
-    return LabelChainState(y=int(Yn[0]), z=int(Z[0]))
 
 
 def _cd_rounds(params: ModelParams, V, Z, Y, A, k: int, rng):

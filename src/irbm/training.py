@@ -94,6 +94,8 @@ class TrainConfig:
             raise ValueError("max-norm bounds must be positive")
         if self.minibatch_size < 1:
             raise ValueError("minibatch_size must be >= 1")
+        if self.n_chains is not None and self.n_chains < 1:
+            raise ValueError("n_chains must be None (minibatch_size) or >= 1")
         if self.regroup_mode not in ("off", "fixed", "adaptive"):
             raise ValueError("regroup_mode must be off, fixed or adaptive")
         if not 0.0 <= self.regroup_rho <= 0.9:
@@ -448,7 +450,8 @@ class Trainer:
         self.epochs_done = 0
         self.chains: FantasyChains | None = None
         if config.use_pcd:
-            n_chains = config.n_chains or config.minibatch_size
+            n_chains = (config.minibatch_size if config.n_chains is None
+                        else config.n_chains)
             self.chains = sampling.init_chains(
                 params, n_chains, stream(config.seed, "chains"),
                 labeled=params.has_labels)

@@ -195,6 +195,26 @@ class TestEval:
         assert total == 60
 
 
+    def test_exact_cap_above_default_reaches_the_permutation_averages(
+            self, tmp_path, capsys):
+        from conftest import make_model
+        from irbm.checkpoint import CheckpointData, save_checkpoint
+        from irbm.training import OptimizerState, RegroupState
+        params = make_model(5, D=16, l=3, scale=0.3)
+        ckpt = tmp_path / "bars16.irbm"
+        save_checkpoint(ckpt, CheckpointData(
+            params=params, opt=OptimizerState.fresh(params),
+            regroup=RegroupState(M_t=2, prev_l=3), chains=None, seed=0,
+            epochs_done=0))
+        code = run(["eval", ckpt, "bars:side=4,n=40,seed=2", "--split", "train",
+                    "--exact-cap", 16, "--perms", 3,
+                    "--out", tmp_path / "report.json"])
+        assert code == 0
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["method"] == "exact"
+        assert "single_order_loglik" in payload
+
+
 class TestSample:
     def test_zero_samples_writes_nothing(self, tmp_path, capsys):
         out = train_small(tmp_path)

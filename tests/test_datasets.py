@@ -232,6 +232,18 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             Dataset(X=np.array([[0, 2]], dtype=np.uint8))
 
+    def test_fractional_values_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match="binary"):
+            Dataset(X=np.array([[0.7, 1.0, 0.2]]))
+
+    def test_binary_inputs_of_any_dtype_accepted(self):
+        for X in (np.array([[0, 1, 1]], dtype=np.uint8),
+                  np.array([[False, True, True]]),
+                  np.array([[0.0, 1.0, 1.0]])):
+            ds = Dataset(X=X)
+            assert ds.X.dtype == np.uint8
+            assert ds.X.tolist() == [[0, 1, 1]]
+
     def test_label_range_checked(self):
         with pytest.raises(ValueError):
             Dataset(X=np.zeros((2, 3), dtype=np.uint8),

@@ -383,6 +383,18 @@ class TestFullReport:
         assert '"method": "exact"' in payload
         assert '"version": 1' in payload
 
+    def test_cap_applies_to_the_permutation_average(self):
+        # D=16 is above the default cap; cap=16 must hold for every
+        # permuted model too
+        m = make_model(417, D=16, l=3, scale=0.3)
+        X = random_binary(71, 20, 16)
+        report = full_report(m, X, n_perms=3, m=2, rng=stream(72, "report"),
+                             cap=16)
+        assert report.method == "exact"
+        assert report.log_z == exact_log_partition(m, cap=16)
+        assert report.log_z_std_err is None
+        assert math.isfinite(report.avg_loglik)
+
     def test_json_roundtrip(self):
         import json
         report = EvalReport(avg_loglik=-1.5, n_h=3, method="exact",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit, softmax
 
 import oracles
 from conftest import make_model, random_binary
@@ -12,66 +13,19 @@ from irbm.model import (
     ModelParams,
     PenaltyConfig,
     apply_permutation,
-    cond_h_given_vz,
-    cond_v_given_hz,
-    cond_y_given_hz,
     cond_y_given_v,
-    cond_y_given_vz,
-    energy,
     free_energy,
-    g_energy,
-    marginal_h_prob,
+    label_joint_log_weights,
     marginal_z_posterior,
-    ordering_diagnostic,
+    unit_inputs,
     z_posterior,
     zero_model,
 )
+from irbm.rng import stream
+from irbm.sampling import categorical_rows, draw_h, draw_v, draw_y
 
 BETA = 1.01
 R = math.exp(LN2 - BETA * LN2)
-
-
-class TestEnergy:
-    def test_zero_model_single_penalty(self):
-        m = zero_model(D=3)
-        assert energy(m, np.zeros(3), np.zeros(1), 1) == pytest.approx(BETA * LN2, abs=1e-12)
-
-    def test_zero_model_penalties_accumulate(self):
-        m = zero_model(D=3)
-        assert energy(m, np.zeros(3), np.zeros(3), 3) == pytest.approx(3 * BETA * LN2, abs=1e-12)
-
-    def test_seeded_model_matches_loop_oracle(self):
-        m = make_model(42, D=3, l=2)
-        v = np.array([1.0, 0.0, 1.0])
-        h = np.array([1.0, 0.0])
-        got = energy(m, v, h, 2)
-        assert got == pytest.approx(oracles.energy_by_loops(m, v, h, 2), abs=1e-12)
-        # frozen oracle value for this exact seed/configuration
-        assert got == pytest.approx(0.7159913701254927, abs=1e-12)
-
-    def test_cutoff_beyond_pool_uses_zero_units(self):
-        m = make_model(7, D=4, l=2)
-        v = random_binary(0, 1, 4)[0]
-        h = np.array([1.0, 1.0, 0.0, 1.0, 0.0])
-        got = energy(m, v, h, 5)
-        assert got == pytest.approx(oracles.energy_by_loops(m, v, h, 5), abs=1e-12)
-
-    def test_labeled_energy_matches_oracle(self):
-        m = make_model(3, D=3, l=2, C=3)
-        v = np.array([0.0, 1.0, 1.0])
-        h = np.array([1.0, 1.0])
-        got = energy(m, v, h, 2, y=1)
-        assert got == pytest.approx(oracles.energy_by_loops(m, v, h, 2, y=1), abs=1e-12)
-
-    def test_dimension_mismatch_rejected(self):
-        m = zero_model(D=3)
-        with pytest.raises(ValueError):
-            energy(m, np.zeros(4), np.zeros(1), 1)
-
-    def test_active_unit_beyond_cutoff_rejected(self):
-        m = make_model(1, D=3, l=3)
-        with pytest.raises(ValueError):
-            energy(m, np.zeros(3), np.array([1.0, 0.0, 1.0]), 2)
 
 
 class TestFreeEnergy:
@@ -119,12 +73,14 @@ class TestFreeEnergy:
             oracles.free_energy_by_hidden_enumeration(m, v, 2), abs=1e-10)
 
     def test_g_form_drops_visible_bias(self):
+        # label_joint_log_weights holds -G(y, z | v) for z = 1..l+1
         m = make_model(12, D=4, l=3, C=2)
         v = np.array([1.0, 0.0, 1.0, 1.0])
+        logw, _ = label_joint_log_weights(m, v[None])
         for y in (0, 1):
             for z in (1, 3, 4):
                 want = free_energy(m, v, z, y=y) + float(v @ m.b_v)
-                assert g_energy(m, v, z, y) == pytest.approx(want, abs=1e-12)
+                assert -logw[0, y, z - 1] == pytest.approx(want, abs=1e-12)
 
 
 class TestZPosterior:
@@ -184,38 +140,57 @@ class TestZPosterior:
 class TestConditionals:
     def test_hidden_means_zero_model(self):
         m = zero_model(D=3)
-        assert np.allclose(cond_h_given_vz(m, np.zeros(3), 1), 0.5)
+        assert np.allclose(expit(unit_inputs(m, np.zeros((1, 3)))), 0.5)
 
     def test_hidden_means_above_cutoff_are_zero(self):
         m = make_model(31, D=3, l=4)
-        means = cond_h_given_vz(m, np.ones(3), 2, length=5)
-        assert np.all(means[2:] == 0.0)
+        Z = np.array([2, 1, 4, 5] * 50)
+        H = draw_h(m, np.ones((Z.size, 3)), Z, None, stream(31, "h-cutoff"))
+        assert H.shape == (Z.size, 5)
+        assert not np.any(H[np.arange(5)[None, :] >= Z[:, None]])
 
     def test_hidden_means_match_direct_sigmoid(self):
         m = make_model(32, D=4, l=3, C=2)
         v = np.array([1.0, 0.0, 1.0, 1.0])
-        means = cond_h_given_vz(m, v, 3, y=1)
+        A = unit_inputs(m, v[None], np.array([1]))[0]
+        means = expit(A)
         for i in range(3):
             a = oracles.unit_input(m, v, i + 1, y=1)
+            assert A[i] == pytest.approx(a, abs=1e-12)
             assert means[i] == pytest.approx(1 / (1 + math.exp(-a)), abs=1e-12)
 
+    def test_dimension_mismatch_rejected(self):
+        m = zero_model(D=3)
+        with pytest.raises(ValueError):
+            unit_inputs(m, np.zeros((1, 4)))
+
     def test_visible_means(self):
+        # draw_v sets pixel j where its uniform falls below
+        # sigmoid(b_v + sum of the active rows of W)
         m = make_model(33, D=4, l=2)
-        assert np.allclose(cond_v_given_hz(zero_model(4), np.zeros(1), 1), 0.5)
-        got = cond_v_given_hz(m, np.zeros(2), 2)
-        assert np.allclose(got, 1 / (1 + np.exp(-m.b_v)))
-        h = np.array([1.0, 1.0])
-        want = 1 / (1 + np.exp(-(m.b_v + m.W[0] + m.W[1])))
-        assert np.allclose(cond_v_given_hz(m, h, 2), want)
+        H = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]] * 500)
+        want = np.where(H[:, :1] == 1.0,
+                        1 / (1 + np.exp(-(m.b_v + m.W[0] + m.W[1]))),
+                        1 / (1 + np.exp(-m.b_v)))
+        u = stream(33, "v-means").random(want.shape)
+        got = draw_v(m, H, stream(33, "v-means"))
+        assert np.array_equal(got, (u < want).astype(np.float64))
+        zero = draw_v(zero_model(4), np.zeros((1000, 2)), stream(34, "v-zero"))
+        u = stream(34, "v-zero").random((1000, 4))
+        assert np.array_equal(zero, (u < 0.5).astype(np.float64))
 
     def test_label_conditional_given_h(self):
+        # draw_y inverts the CDF of softmax(d + h U) at one uniform per row
         m = make_model(34, D=3, l=2, C=4)
-        p = cond_y_given_hz(m, np.zeros(2), 2)
+        H = np.zeros((2000, 3))
         want = np.exp(m.d) / np.exp(m.d).sum()
-        assert np.allclose(p, want)
-        assert p.sum() == pytest.approx(1.0, abs=1e-12)
-        uniform = cond_y_given_hz(zero_model(3, C=4), np.zeros(1), 1)
-        assert np.allclose(uniform, 0.25)
+        assert want.sum() == pytest.approx(1.0, abs=1e-12)
+        got = draw_y(m, H, stream(34, "y-given-h"))
+        assert np.array_equal(got, categorical_rows(np.tile(want, (2000, 1)),
+                                                    stream(34, "y-given-h")))
+        uniform = draw_y(zero_model(3, C=4), H[:, :2], stream(35, "y-uniform"))
+        assert np.array_equal(uniform, categorical_rows(np.full((2000, 4), 0.25),
+                                                        stream(35, "y-uniform")))
 
     def test_label_posterior_uniform_for_zero_model(self):
         m = zero_model(D=3, C=5)
@@ -237,8 +212,9 @@ class TestConditionals:
         m = make_model(37, D=4, l=3, C=3)
         v = np.array([0.0, 1.0, 1.0, 0.0])
         vb = float(v @ m.b_v)
+        logw, _ = label_joint_log_weights(m, v[None])
         for z in (1, 2, 4):
-            got = cond_y_given_vz(m, v, z)
+            got = softmax(logw[0, :, z - 1])
             logits = np.array([-(oracles.free_energy_by_loops(m, v, z, y) - vb)
                                for y in range(3)])
             want = np.exp(logits - logits.max())
@@ -246,14 +222,20 @@ class TestConditionals:
             assert np.allclose(got, want, atol=1e-12)
 
 
+def marginal_h_probs(m, v):
+    """p(h_i = 1 | v) for the l units: sigmoid(input_i) * p(z >= i | v)."""
+    V = v[None]
+    return (expit(unit_inputs(m, V)) * z_posterior(m, V).p_z_geq()[:, :m.l])[0]
+
+
 class TestMarginalHidden:
     def test_zero_model_geometric_damping(self):
         m = zero_model(D=2)
         grown = ModelParams(W=np.zeros((4, 2)), b_v=np.zeros(2), c=np.zeros(4),
                             penalty=m.penalty)
+        probs = marginal_h_probs(grown, np.zeros(2))
         for i in (1, 2, 3):
-            assert marginal_h_prob(grown, np.zeros(2), i) == pytest.approx(
-                0.5 * R ** (i - 1), abs=1e-12)
+            assert probs[i - 1] == pytest.approx(0.5 * R ** (i - 1), abs=1e-12)
 
     def test_first_unit_always_reachable(self):
         m = make_model(41, D=4, l=3)
@@ -264,21 +246,11 @@ class TestMarginalHidden:
         m = make_model(42, D=4, l=4)
         v = random_binary(9, 1, 4)[0]
         probs = oracles.z_posterior_by_truncation(m, v, 10_000)
+        got = marginal_h_probs(m, v)
         for i in (1, 2, 4):
             s = 1 / (1 + math.exp(-oracles.unit_input(m, v, i)))
             want = s * probs[i - 1:].sum()
-            assert marginal_h_prob(m, v, i) == pytest.approx(want, abs=1e-10)
-
-    def test_ordering_diagnostic_shapes(self):
-        m = make_model(43, D=3, l=4)
-        v = np.ones(3)
-        diag = ordering_diagnostic(m, v)
-        assert diag.activation.shape == (4,)
-        assert np.allclose(diag.marginal, diag.activation * diag.p_z_geq)
-        zp = z_posterior(m, v)
-        assert diag.p_z_at_pool == pytest.approx(float(zp.head_probs()[3]))
-        assert diag.tail_prob == pytest.approx(
-            float(zp.head_probs()[4] + zp.tail_prob()))
+            assert got[i - 1] == pytest.approx(want, abs=1e-10)
 
 
 class TestPermutation:
@@ -362,11 +334,9 @@ def test_posterior_probabilities_well_formed(seed, d, l):
 @given(seed=st.integers(0, 10_000))
 def test_conditional_outputs_are_probabilities(seed):
     m = make_model(seed, D=4, l=3, C=3)
-    v = random_binary(seed, 1, 4)[0]
-    h = cond_h_given_vz(m, v, 3)
+    v = random_binary(seed, 1, 4)
+    h = expit(unit_inputs(m, v))
     assert np.all((h >= 0) & (h <= 1))
-    vis = cond_v_given_hz(m, np.ones(3), 3)
-    assert np.all((vis >= 0) & (vis <= 1))
-    p = cond_y_given_v(m, v)
+    p = cond_y_given_v(m, v[0])
     assert np.all(p >= 0)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)

@@ -8,16 +8,13 @@ from irbm.model import ModelParams, cond_y_given_v, z_posterior, zero_model
 from irbm.rng import stream
 from irbm.sampling import (
     FantasyChains,
-    GibbsChainState,
-    LabelChainState,
-    gibbs_step_discriminative,
-    gibbs_step_generative,
+    draw_y_given_vz,
+    draw_z,
     gibbs_sweep,
     init_chains,
     run_cd,
     run_label_cd,
     run_pcd,
-    sample_z_given_v,
 )
 
 
@@ -30,7 +27,7 @@ class TestZSampling:
     def test_zero_model_clamped_geometric(self):
         m = ModelParams(W=np.zeros((3, 4)), b_v=np.zeros(4), c=np.zeros(3))
         rng = stream(0, "z-geom")
-        draws = np.array([sample_z_given_v(m, np.zeros(4), rng)
+        draws = np.array([draw_z(m, np.zeros((1, 4)), None, rng)[0]
                           for _ in range(10_000)])
         counts = np.bincount(draws, minlength=5)[1:5]
         r = np.exp(m.penalty.log_tail_ratio)
@@ -43,7 +40,7 @@ class TestZSampling:
         m = ModelParams(W=np.zeros((3, 2)), b_v=np.zeros(2),
                         c=np.array([0.0, 50.0, 0.0]))
         rng = stream(2, "z-floor")
-        draws = [sample_z_given_v(m, np.zeros(2), rng) for _ in range(500)]
+        draws = [draw_z(m, np.zeros((1, 2)), None, rng)[0] for _ in range(500)]
         assert min(draws) >= 2
 
     def test_seeded_model_frequencies_match_posterior(self):
@@ -63,7 +60,7 @@ class TestZSampling:
         m = ModelParams(W=np.zeros((2, 3)), b_v=np.zeros(3),
                         c=np.array([30.0, 30.0]))
         rng = stream(4, "z-clamp")
-        draws = [sample_z_given_v(m, np.ones(3), rng) for _ in range(300)]
+        draws = [draw_z(m, np.ones((1, 3)), None, rng)[0] for _ in range(300)]
         assert max(draws) == 3  # l + 1
 
 
@@ -81,23 +78,22 @@ class TestGenerativeChain:
 
     def test_single_step_api(self):
         m = make_model(88, D=4, l=2)
-        state = GibbsChainState(v=np.zeros(4, dtype=np.uint8), z=1)
-        out = gibbs_step_generative(m, state, stream(6, "gen-step"))
-        assert out.v.shape == (4,)
-        assert set(np.unique(out.v)) <= {0, 1}
-        assert 1 <= out.z <= m.l + 1
+        V, Y, Z = gibbs_sweep(m, np.zeros((1, 4)), None, stream(6, "gen-step"))
+        assert V.shape == (1, 4)
+        assert Y is None
+        assert set(np.unique(V)) <= {0, 1}
+        assert 1 <= Z[0] <= m.l + 1
 
     def test_joint_step_api(self):
-        from irbm.sampling import JointChainState, gibbs_step_joint
         m = make_model(89, D=4, l=2, C=3)
-        state = JointChainState(v=np.zeros(4, dtype=np.uint8), y=0, z=1)
+        V, Y = np.zeros((1, 4)), np.array([0])
         rng = stream(7, "joint-step")
         seen = set()
         for _ in range(60):
-            state = gibbs_step_joint(m, state, rng)
-            assert 0 <= state.y < 3
-            assert 1 <= state.z <= m.l + 1
-            seen.add(state.y)
+            V, Y, Z = gibbs_sweep(m, V, Y, rng)
+            assert 0 <= Y[0] < 3
+            assert 1 <= Z[0] <= m.l + 1
+            seen.add(int(Y[0]))
         assert len(seen) > 1   # the label actually moves
 
     def test_stationary_distribution_tiny_model(self):
@@ -129,17 +125,24 @@ class TestGenerativeChain:
         assert np.array_equal(runs[0][1], runs[1][1])
 
 
+def label_chain_step(m, V, Y, rng):
+    """One sweep of the clamped (z, y) chain on a batch: z ~ p(z | v, y),
+    then y ~ p(y | v, z)."""
+    Z = draw_z(m, V, Y, rng)
+    return draw_y_given_vz(m, V, Z, rng), Z
+
+
 class TestDiscriminativeChain:
     def test_zero_model_uniform_labels(self):
         m = zero_model(D=3, C=4)
-        v = np.ones(3)
+        V = np.ones((1, 3))
         rng = stream(8, "dis-uniform")
-        state = LabelChainState(y=0, z=1)
+        Y = np.array([0])
         counts = np.zeros(4)
         for i in range(4000):
-            state = gibbs_step_discriminative(m, v, state, rng)
+            Y, _ = label_chain_step(m, V, Y, rng)
             if i >= 200:
-                counts[state.y] += 1
+                counts[Y[0]] += 1
         freq = counts / counts.sum()
         assert np.all(np.abs(freq - 0.25) < 0.03)
 
@@ -148,12 +151,12 @@ class TestDiscriminativeChain:
         v = np.array([1.0, 0.0, 1.0, 0.0])
         exact = cond_y_given_v(m, v)
         rng = stream(9, "dis-exact")
-        state = LabelChainState(y=0, z=1)
+        Y = np.array([0])
         counts = np.zeros(2)
         for i in range(6000):
-            state = gibbs_step_discriminative(m, v, state, rng)
+            Y, _ = label_chain_step(m, v[None], Y, rng)
             if i >= 300:
-                counts[state.y] += 1
+                counts[Y[0]] += 1
         emp = counts / counts.sum()
         tv = 0.5 * np.abs(emp - exact).sum()
         assert tv < 0.02
@@ -161,10 +164,10 @@ class TestDiscriminativeChain:
     def test_clamp_respected(self):
         m = make_model(112, D=3, l=2, C=3)
         rng = stream(10, "dis-clamp")
-        state = LabelChainState(y=1, z=1)
+        Y = np.array([1])
         for _ in range(200):
-            state = gibbs_step_discriminative(m, np.ones(3), state, rng)
-            assert state.z <= m.l + 1
+            Y, Z = label_chain_step(m, np.ones((1, 3)), Y, rng)
+            assert Z[0] <= m.l + 1
 
 
 class TestNegativePhases:

@@ -354,6 +354,18 @@ class TestRegroupSchedule:
         assert state.M_t == 190
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("n_chains", [0, -3])
+    def test_chain_count_below_one_rejected(self, n_chains):
+        with pytest.raises(ValueError, match="n_chains"):
+            TrainConfig(n_chains=n_chains).validate()
+
+    def test_default_chain_count_is_the_minibatch_size(self):
+        config = TrainConfig(use_pcd=True, minibatch_size=7, seed=26)
+        trainer = Trainer(zero_model(D=3), config, n_train=7)
+        assert trainer.chains.n_chains == 7
+
+
 class TestTrainerDeterminism:
     @pytest.mark.parametrize("use_pcd", [False, True])
     def test_same_seed_same_trajectory(self, use_pcd):

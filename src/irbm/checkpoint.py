@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, PenaltyConfig
+from .model import ModelParams, ParamBundle, PenaltyConfig
 from .sampling import FantasyChains
-from .training import Gradients, OptimizerState, RegroupState
+from .training import OptimizerState, RegroupState
 
 MAGIC = b"IRBM"
 VERSION = 1
@@ -55,13 +55,9 @@ def _read_array(buf, count, dtype, shape=None):
     return arr.reshape(shape) if shape is not None else arr
 
 
-def _write_param_set(buf, g, l, D, C):
-    _write_array(buf, g.W, "<f8")
-    _write_array(buf, g.b_v, "<f8")
-    _write_array(buf, g.c, "<f8")
-    if C:
-        _write_array(buf, g.U, "<f8")
-        _write_array(buf, g.d, "<f8")
+def _write_param_set(buf, g: ParamBundle):
+    for _, arr in g.blocks():
+        _write_array(buf, arr, "<f8")
 
 
 def _read_param_set(buf, l, D, C):
@@ -88,9 +84,8 @@ def save_checkpoint(path, data: CheckpointData):
                           rg.epoch, rg.prev_l, rg.mode_sum, rg.mode_count,
                           len(rg.mz_history)))
     _write_array(buf, np.asarray(rg.mz_history, dtype=np.float64), "<f8")
-    _write_param_set(buf, p, p.l, p.D, p.C)
-    _write_param_set(buf, data.opt.acc, p.l, p.D, p.C)
-    _write_param_set(buf, data.opt.vel, p.l, p.D, p.C)
+    for g in (p, data.opt.acc, data.opt.vel):
+        _write_param_set(buf, g)
     _write_array(buf, data.opt.unit_age, "<i8")
     if data.chains is not None:
         buf.write(struct.pack("<I", data.chains.n_chains))
@@ -145,10 +140,9 @@ def load_checkpoint(path) -> CheckpointData:
     m_t, phase, epoch, prev_l, mode_sum, mode_count, n_hist = unpack("<IBIIdQI")
     mz_history = list(_read_array(buf, n_hist, "<f8"))
     penalty = PenaltyConfig(beta=beta, mode="dynamic" if flags & 2 else "constant")
-    W, b_v, c, U, d = _read_param_set(buf, l, D, C)
-    params = ModelParams(W=W, b_v=b_v, c=c, U=U, d=d, penalty=penalty)
-    acc = Gradients(*_read_param_set(buf, l, D, C))
-    vel = Gradients(*_read_param_set(buf, l, D, C))
+    params = ModelParams(*_read_param_set(buf, l, D, C), penalty=penalty)
+    acc = ParamBundle(*_read_param_set(buf, l, D, C))
+    vel = ParamBundle(*_read_param_set(buf, l, D, C))
     unit_age = _read_array(buf, l, "<i8")
     chains = None
     if flags & 4:

@@ -28,7 +28,7 @@ from .datasets import (
     write_ibmp,
 )
 from .evaluation import EXACT_D_CAP, full_report
-from .model import marginal_z_posterior, zero_model
+from .model import ParamBundle, marginal_z_posterior, zero_model
 from .rng import stream
 from .sampling import gibbs_sweep
 from .training import TrainConfig, Trainer
@@ -216,20 +216,21 @@ def _epoch_metrics(trainer: Trainer, X, Y, config: RunConfig) -> dict:
     method, log_z = evaluation.log_partition_estimator(
         params, sub_x, rng, config.exact_cap, config.ais_temps,
         config.ais_chains)
+    zp = marginal_z_posterior(params, sub_x)
     avg_loglik = None
     # AIS is too costly for every epoch: it runs on the eval_every cadence
     if method == "exact" or trainer.epochs_done % config.eval_every == 0:
         log_z_value, _ = log_z(params)
-        avg_loglik = float(np.mean(evaluation.log_pstar(params, sub_x))) - log_z_value
+        avg_loglik = (float(np.mean(evaluation.log_pstar(params, sub_x, zp=zp)))
+                      - log_z_value)
     error = None
     if Y is not None and params.has_labels:
         error, _, _, _ = evaluation.classification_metrics(params, sub_x, Y[idx])
     n_h = evaluation.effective_hidden_size(params, sub_x,
-                                           config.train.minibatch_size)
+                                           config.train.minibatch_size, zp=zp)
     m_t = trainer.regroup.M_t
     max_log_mass = None
     if m_t >= 1:
-        zp = marginal_z_posterior(params, sub_x)
         max_log_mass = float(np.max(zp.mass_at_most(m_t)))
     return {"avg_loglik": avg_loglik, "error": error, "n_h": n_h,
             "l_t": params.l, "m_t": m_t, "max_log_mass": max_log_mass}
@@ -258,6 +259,18 @@ def _truncate_metrics(path: Path, epochs_done: int) -> bool:
     return True
 
 
+def _check_resumed_model(saved, fresh):
+    """Refuse to continue a checkpoint whose model differs from the one the
+    config and dataset would start: visible size, label classes (0 unless
+    the objective uses labels) and penalty."""
+    for what, have, want in (("visible units", saved.D, fresh.D),
+                             ("label classes", saved.C, fresh.C),
+                             ("penalty", saved.penalty, fresh.penalty)):
+        if have != want:
+            raise ValueError(f"checkpoint model has {what} {have}, "
+                             f"config and dataset give {want}")
+
+
 def cmd_train(args) -> int:
     config = build_run_config(args.config, args.set)
     if args.dataset:
@@ -283,17 +296,18 @@ def cmd_train(args) -> int:
     metrics_path = out_dir / "metrics.csv"
     ckpt_path = out_dir / "checkpoint.irbm"
 
+    params = zero_model(D=data.D, C=data.n_classes if labeled else 0,
+                        beta=config.beta, penalty_mode=config.penalty_mode)
     if config.resume:
         ckpt = load_checkpoint(config.resume)
         if ckpt.seed != config.train.seed:
             raise ValueError(f"checkpoint was trained with seed {ckpt.seed}, "
                              f"config says {config.train.seed}")
+        _check_resumed_model(ckpt.params, params)
         trainer = Trainer(ckpt.params, config.train, n_train=data.n)
         trainer.restore(ckpt.opt, ckpt.regroup, ckpt.chains, ckpt.epochs_done)
         mode = "a" if _truncate_metrics(metrics_path, ckpt.epochs_done) else "w"
     else:
-        params = zero_model(D=data.D, C=data.n_classes if labeled else 0,
-                            beta=config.beta, penalty_mode=config.penalty_mode)
         trainer = Trainer(params, config.train, n_train=data.n)
         mode = "w"
 
@@ -313,18 +327,15 @@ def cmd_train(args) -> int:
             error_text = "" if m["error"] is None else f" err={m['error']:.4f}"
             print(f"epoch {stats['epoch']:4d} l={m['l_t']:4d} M={m['m_t']:4d} "
                   f"N_h={m['n_h']:4d}{loglik_text}{error_text}")
-            save_checkpoint(ckpt_path, CheckpointData(
+            state = CheckpointData(
                 params=trainer.params, opt=trainer.opt, regroup=trainer.regroup,
                 chains=trainer.chains, seed=config.train.seed,
-                epochs_done=trainer.epochs_done))
+                epochs_done=trainer.epochs_done)
+            save_checkpoint(ckpt_path, state)
             if config.checkpoint_every and \
                     trainer.epochs_done % config.checkpoint_every == 0:
                 save_checkpoint(out_dir / f"checkpoint-{trainer.epochs_done:05d}.irbm",
-                                CheckpointData(
-                                    params=trainer.params, opt=trainer.opt,
-                                    regroup=trainer.regroup, chains=trainer.chains,
-                                    seed=config.train.seed,
-                                    epochs_done=trainer.epochs_done))
+                                state)
     print(f"done: {trainer.epochs_done} epochs, l={trainer.params.l}, "
           f"checkpoint at {ckpt_path}")
     return 0
@@ -508,8 +519,7 @@ def cmd_check(args) -> int:
 
 
 def _fd_gradient(params, objective, h=1e-5):
-    from .training import Gradients
-    g = Gradients.zeros(params)
+    g = ParamBundle.zeros(params)
     for name, arr in g.blocks():
         target = getattr(params, name)
         flat_grad = arr.reshape(-1)

@@ -28,6 +28,7 @@ from scipy.special import expit, logit, logsumexp
 
 from .model import (
     ModelParams,
+    ParamBundle,
     apply_permutation,
     cond_y_given_v,
     free_energy,
@@ -40,7 +41,7 @@ from .model import (
     z_posterior,
 )
 from .sampling import gibbs_sweep
-from .training import Gradients, sample_permutation
+from .training import sample_permutation
 
 EXACT_D_CAP = 14
 # cells (float64 values of one (rows, C, l+1) array) an enumeration block is
@@ -157,7 +158,7 @@ def exact_visible_distribution(params: ModelParams,
 
 
 def exact_generative_gradient(params: ModelParams, X,
-                              cap: int = EXACT_D_CAP) -> Gradients:
+                              cap: int = EXACT_D_CAP) -> ParamBundle:
     """Exact gradient of -mean log p(v) on an enumerable model.
 
     Both expectations of the free-energy derivative are closed-form: the
@@ -181,9 +182,9 @@ def exact_generative_gradient(params: ModelParams, X,
                     * (Pg * w[:, None]).sum(axis=0))
         g.b_v -= (V * w[:, None]).sum(axis=0)
 
-    data = Gradients.zeros(params)
+    data = ParamBundle.zeros(params)
     add_expected_term(data, X, np.full(X.shape[0], 1.0 / X.shape[0]))
-    model = Gradients.zeros(params)
+    model = ParamBundle.zeros(params)
     p = exact_visible_distribution(params, cap)
     for start, V in _visible_blocks(params):
         add_expected_term(model, V, p[start:start + V.shape[0]])
@@ -209,14 +210,9 @@ def _interpolated(params: ModelParams, beta_k: float,
     """The model at inverse temperature beta_k: couplings scaled by beta_k,
     visible biases mixed with the base model's. Its unit inputs are
     beta_k * unit_inputs(params, .)."""
-    return ModelParams(
-        W=beta_k * params.W,
-        b_v=(1.0 - beta_k) * b_base + beta_k * params.b_v,
-        c=beta_k * params.c,
-        U=None if params.U is None else beta_k * params.U,
-        d=None if params.d is None else beta_k * params.d,
-        penalty=params.penalty,
-    )
+    m = params.scaled(beta_k)
+    m.b_v += (1.0 - beta_k) * b_base
+    return m
 
 
 def base_log_partition(params: ModelParams, b_base: np.ndarray) -> float:
@@ -316,6 +312,14 @@ def log_partition_estimator(params: ModelParams, X, rng: np.random.Generator,
 # -- order invariance ---------------------------------------------------------
 
 
+def _permuted_models(params: ModelParams, m: int, n: int,
+                     rng: np.random.Generator):
+    """n copies of params, each with its first m units in an order drawn by
+    sample_permutation(m, rng), drawn as the copies are taken."""
+    for _ in range(n):
+        yield apply_permutation(params, sample_permutation(m, rng))
+
+
 @dataclass
 class InvarianceReport:
     """How close the model is to being order-free over its first M units."""
@@ -354,9 +358,7 @@ def check_order_invariance(params: ModelParams, X, m: int, n_perms: int,
     exact_ok = params.D <= cap
     masses = []
     logliks = []
-    for _ in range(max(1, n_perms)):
-        order = sample_permutation(m, rng)
-        pj = apply_permutation(params, order)
+    for pj in _permuted_models(params, m, max(1, n_perms), rng):
         zp = marginal_z_posterior(pj, X)
         masses.append(zp.mass_at_most(m))
         if exact_ok:
@@ -389,9 +391,7 @@ def permutation_averaged_loglik(params: ModelParams, X, n_perms: int,
     m = params.l if m is None else m
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     per_perm = np.empty((max(1, n_perms), X.shape[0]))
-    for j in range(max(1, n_perms)):
-        order = sample_permutation(m, rng)
-        pj = apply_permutation(params, order)
+    for j, pj in enumerate(_permuted_models(params, m, per_perm.shape[0], rng)):
         per_perm[j] = log_pstar(pj, X) - log_z(pj)[0]
     return float(np.mean(logsumexp(per_perm, axis=0) - np.log(per_perm.shape[0])))
 
@@ -405,9 +405,7 @@ def permutation_averaged_condlik(params: ModelParams, X, Y, n_perms: int,
     Y = np.asarray(Y, dtype=np.int64)
     rows = np.arange(X.shape[0])
     per_perm = np.empty((max(1, n_perms), X.shape[0]))
-    for j in range(max(1, n_perms)):
-        order = sample_permutation(m, rng)
-        pj = apply_permutation(params, order)
+    for j, pj in enumerate(_permuted_models(params, m, per_perm.shape[0], rng)):
         per_perm[j] = log_cond_y_given_v(pj, X)[rows, Y]
     return float(np.mean(logsumexp(per_perm, axis=0) - np.log(per_perm.shape[0])))
 
@@ -486,17 +484,15 @@ def classification_metrics(params: ModelParams, X, Y, n_perms: int = 1,
     histogram of z_m, the mode of the averaged p(z | v).
 
     Ties break toward the smaller class / smaller z. With m < 2 or a single
-    permutation the average degenerates to the current ordering.
+    permutation the average degenerates to the current ordering, and nothing
+    is drawn from rng.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.asarray(Y, dtype=np.int64)
     reps = max(1, n_perms) if m >= 2 else 1
     p_y = None
     p_z = None
-    for _ in range(reps):
-        order = (sample_permutation(m, rng) if reps > 1 else
-                 np.arange(0))
-        pj = apply_permutation(params, order)
+    for pj in (_permuted_models(params, m, reps, rng) if reps > 1 else [params]):
         joint = label_joint_log_weights(pj, X)
         py_j = cond_y_given_v(pj, X, joint=joint)
         pz_j = marginal_z_posterior(pj, X, joint=joint).head_probs()

@@ -25,7 +25,7 @@ samplers in `sampling` and the evaluation passes in `evaluation`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -110,19 +110,67 @@ class PenaltyConfig:
 
 
 @dataclass
-class ModelParams:
-    """All learnable quantities plus the current capacity l.
-
-    Storage is hidden-unit-major: row i of W (and U) and entry i of c belong
-    to hidden unit i, so reordering units is a row shuffle. U and d are only
-    present for models with label units.
-    """
+class ParamBundle:
+    """The five parameter blocks, stored hidden-unit-major: row i of W (and
+    U) and entry i of c belong to hidden unit i, so reordering units is a
+    row shuffle and growth appends a zero row. U and d are only present for
+    models with label units. The model, its gradients and the optimizer's
+    accumulators and velocities all share this layout."""
 
     W: np.ndarray                       # (l, D) visible-hidden weights
     b_v: np.ndarray                     # (D,) visible biases
     c: np.ndarray                       # (l,) hidden biases
     U: np.ndarray | None = None         # (l, C) label-hidden weights
     d: np.ndarray | None = None         # (C,) label biases
+    UNIT_BLOCKS = ("W", "c", "U")       # the blocks indexed by hidden unit
+
+    @staticmethod
+    def zeros(params: "ParamBundle") -> "ParamBundle":
+        return ParamBundle(**{name: np.zeros_like(a) for name, a in params.blocks()})
+
+    def blocks(self):
+        """(name, array) of every present block, in storage order."""
+        for name in ("W", "b_v", "c", "U", "d"):
+            arr = getattr(self, name)
+            if arr is not None:
+                yield name, arr
+
+    # copy, scaled and plus keep the class, and a model's penalty
+    def copy(self):
+        return replace(self, **{name: a.copy() for name, a in self.blocks()})
+
+    def scaled(self, s: float):
+        return replace(self, **{name: a * s for name, a in self.blocks()})
+
+    def plus(self, other: "ParamBundle"):
+        return replace(self, **{name: a + getattr(other, name)
+                                for name, a in self.blocks()})
+
+    def __isub__(self, other: "ParamBundle"):
+        """Subtract other block by block, in place."""
+        for name, arr in self.blocks():
+            arr -= getattr(other, name)
+        return self
+
+    def check_finite(self):
+        for name, arr in self.blocks():
+            if not np.all(np.isfinite(arr)):
+                raise FloatingPointError(f"non-finite entries in block {name}")
+
+    def grow(self):
+        """Append one zero hidden unit: a zero row of W and U and a zero
+        entry of c."""
+        for name in self.UNIT_BLOCKS:
+            arr = getattr(self, name)
+            if arr is not None:
+                setattr(self, name, np.concatenate([arr, np.zeros((1,) + arr.shape[1:])]))
+
+
+@dataclass
+class ModelParams(ParamBundle):
+    """The parameter blocks of a model plus its penalty; l is the number of
+    materialized hidden units."""
+
     penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
 
     def __post_init__(self):
@@ -169,22 +217,6 @@ class ModelParams:
         if self.penalty.mode == "dynamic":
             return self.penalty.beta * softplus(self.c)
         return np.full(self.l, self.penalty.beta_zero)
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            W=self.W.copy(),
-            b_v=self.b_v.copy(),
-            c=self.c.copy(),
-            U=None if self.U is None else self.U.copy(),
-            d=None if self.d is None else self.d.copy(),
-            penalty=self.penalty,
-        )
-
-    def check_finite(self):
-        for name in ("W", "b_v", "c", "U", "d"):
-            arr = getattr(self, name)
-            if arr is not None and not np.all(np.isfinite(arr)):
-                raise FloatingPointError(f"non-finite entries in {name}")
 
 
 def zero_model(D: int, C: int = 0, beta: float = 1.01,
@@ -445,11 +477,10 @@ def permute_units(block, order: np.ndarray) -> None:
     of c, on anything stored hidden-unit-major (parameters, or optimizer
     state shaped like them). Only the M gathered rows are copied."""
     m = order.shape[0]
-    if m:
-        block.W[:m] = block.W[order]
-        block.c[:m] = block.c[order]
-        if block.U is not None:
-            block.U[:m] = block.U[order]
+    for name in block.UNIT_BLOCKS:
+        arr = getattr(block, name)
+        if arr is not None:
+            arr[:m] = arr[order]
 
 
 def apply_permutation(params: ModelParams, order) -> ModelParams:

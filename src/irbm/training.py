@@ -29,6 +29,7 @@ from scipy.special import expit
 from . import sampling
 from .model import (
     ModelParams,
+    ParamBundle,
     cond_y_given_v,
     label_joint_log_weights,
     log_sum_exp,
@@ -43,6 +44,9 @@ from .sampling import FantasyChains, PhaseSamples
 
 
 OBJECTIVES = ("generative", "discriminative", "hybrid")
+
+# gradients and optimizer state share the parameters' blocks and layout
+Gradients = ParamBundle
 
 
 @dataclass
@@ -103,58 +107,6 @@ class TrainConfig:
         if not 0.0 <= self.momentum_start <= self.momentum_end < 1.0:
             raise ValueError("need 0 <= momentum_start <= momentum_end < 1")
         return self
-
-
-@dataclass
-class Gradients:
-    """Parameter-shaped bundle; also reused for optimizer accumulators."""
-
-    W: np.ndarray
-    b_v: np.ndarray
-    c: np.ndarray
-    U: np.ndarray | None = None
-    d: np.ndarray | None = None
-
-    @classmethod
-    def zeros(cls, params: ModelParams) -> "Gradients":
-        return cls(
-            W=np.zeros_like(params.W),
-            b_v=np.zeros_like(params.b_v),
-            c=np.zeros_like(params.c),
-            U=None if params.U is None else np.zeros_like(params.U),
-            d=None if params.d is None else np.zeros_like(params.d),
-        )
-
-    def blocks(self):
-        for name in ("W", "b_v", "c", "U", "d"):
-            arr = getattr(self, name)
-            if arr is not None:
-                yield name, arr
-
-    def scaled(self, s: float) -> "Gradients":
-        return Gradients(
-            W=self.W * s, b_v=self.b_v * s, c=self.c * s,
-            U=None if self.U is None else self.U * s,
-            d=None if self.d is None else self.d * s,
-        )
-
-    def __isub__(self, other: "Gradients") -> "Gradients":
-        """Subtract other block by block, in place."""
-        for name, arr in self.blocks():
-            arr -= getattr(other, name)
-        return self
-
-    def plus(self, other: "Gradients") -> "Gradients":
-        return Gradients(
-            W=self.W + other.W, b_v=self.b_v + other.b_v, c=self.c + other.c,
-            U=None if self.U is None else self.U + other.U,
-            d=None if self.d is None else self.d + other.d,
-        )
-
-    def check_finite(self):
-        for name, arr in self.blocks():
-            if not np.all(np.isfinite(arr)):
-                raise FloatingPointError(f"non-finite gradient in block {name}")
 
 
 def sample_permutation(m: int, rng) -> np.ndarray:
@@ -384,32 +336,20 @@ def regroup_schedule_update(regroup: RegroupState, l: int,
     return regroup.M_t
 
 
-def _permute_rows(opt: OptimizerState, order: np.ndarray):
-    """Reorder the per-unit optimizer rows in place, like the parameters."""
-    permute_units(opt.acc, order)
-    permute_units(opt.vel, order)
-    m = order.shape[0]
-    opt.unit_age[:m] = opt.unit_age[order]
+def _permute_rows(params: ModelParams, opt: OptimizerState, order: np.ndarray):
+    """Reorder the first len(order) hidden units in place, in the parameters
+    and in the optimizer state alike."""
+    for block in (params, opt.acc, opt.vel):
+        permute_units(block, order)
+    opt.unit_age[:order.shape[0]] = opt.unit_age[order]
 
 
-def _grow_by_one(params: ModelParams, opt: OptimizerState) -> ModelParams:
-    def add_row(a):
-        return np.vstack([a, np.zeros((1, a.shape[1]))])
-
-    def add_entry(a, dtype=np.float64):
-        return np.concatenate([a, np.zeros(1, dtype=dtype)])
-
-    grown = ModelParams(
-        W=add_row(params.W), b_v=params.b_v, c=add_entry(params.c),
-        U=None if params.U is None else add_row(params.U),
-        d=params.d, penalty=params.penalty)
-    for g in (opt.acc, opt.vel):
-        g.W = add_row(g.W)
-        g.c = add_entry(g.c)
-        if g.U is not None:
-            g.U = add_row(g.U)
-    opt.unit_age = add_entry(opt.unit_age, dtype=np.int64)
-    return grown
+def _grow_by_one(params: ModelParams, opt: OptimizerState):
+    """Append one zero hidden unit, in place, to the parameters and to the
+    optimizer state alike; the new unit's age is 0."""
+    for block in (params, opt.acc, opt.vel):
+        block.grow()
+    opt.unit_age = np.concatenate([opt.unit_age, np.zeros(1, dtype=np.int64)])
 
 
 def growth_decision(z_pos_max: int, z_neg_max: int, l: int) -> bool:
@@ -556,8 +496,7 @@ class Trainer:
         m_now = current_regroup_length(self.regroup, params.l, cfg)
         if m_now >= 2:
             order = sample_permutation(m_now, stream(cfg.seed, "perm", t))
-            permute_units(params, order)
-            _permute_rows(self.opt, order)
+            _permute_rows(params, self.opt, order)
 
         l_before = params.l
         V = np.asarray(V, dtype=np.float64)
@@ -607,15 +546,15 @@ class Trainer:
         self._apply_gradient(grad)
         max_norm_project(params, cfg.w_bound, cfg.u_bound)
 
+        # the regroup statistic reads the stepped model before it grows
+        self.regroup.record_modes(
+            marginal_z_posterior(params, V).mode(pool_tail=True))
         grew = growth_decision(z_pos_max, z_neg_max, l_before)
         if grew:
-            self.params = _grow_by_one(params, self.opt)
-
-        modes = marginal_z_posterior(params, V).mode(pool_tail=True)
-        self.regroup.record_modes(modes)
+            _grow_by_one(params, self.opt)
         self.opt.unit_age += 1
         self.opt.t += 1
-        return {"t": t, "l": self.params.l, "M": m_now, "grew": grew,
+        return {"t": t, "l": params.l, "M": m_now, "grew": grew,
                 "z_pos_max": z_pos_max, "z_neg_max": z_neg_max}
 
     def run_epoch(self, X, Y=None) -> dict:

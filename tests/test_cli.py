@@ -4,9 +4,13 @@ import struct
 import numpy as np
 import pytest
 
+import irbm.cli as cli
+import irbm.evaluation as ev
+from conftest import make_model, random_binary
 from irbm.checkpoint import load_checkpoint
 from irbm.cli import build_parser, build_run_config, main, write_pgm
-from irbm.datasets import read_ibmp
+from irbm.datasets import Dataset, read_ibmp, write_ibmp
+from irbm.training import TrainConfig, Trainer
 
 
 def run(args):
@@ -94,6 +98,44 @@ class TestTrain:
                     "--set", "minibatch_size=40", "--set", "seed=6"])
         assert code == 1
 
+    @pytest.mark.parametrize("change", [
+        ("--set", "beta=1.5"),
+        ("--set", "penalty_mode=dynamic"),
+        ("--dataset", "bars:side=4,n=120,seed=1"),
+    ])
+    def test_model_mismatch_on_resume_rejected(self, tmp_path, capsys, change):
+        out = train_small(tmp_path, epochs=1)
+        before = (out / "checkpoint.irbm").read_bytes()
+        code = run(["train", "--dataset", "bars:side=3,n=120,seed=1",
+                    "--out-dir", out, "--epochs", 2,
+                    "--resume", out / "checkpoint.irbm",
+                    "--set", "minibatch_size=40", "--set", "seed=5", *change])
+        assert code == 1
+        assert "checkpoint model has" in capsys.readouterr().err
+        assert (out / "checkpoint.irbm").read_bytes() == before
+
+    def test_label_mismatch_on_resume_rejected(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        X = (rng.random((40, 6)) < 0.5).astype(np.uint8)
+        for C in (2, 5):
+            write_ibmp(tmp_path / f"c{C}.ibmp", {"train": Dataset(
+                X=X, y=(np.arange(40) % C).astype(np.int32), n_classes=C)})
+        out = tmp_path / "run"
+        common = ["--out-dir", out, "--set", "minibatch_size=20",
+                  "--set", "seed=5", "--set", "objective=hybrid"]
+        assert run(["train", "--dataset", tmp_path / "c2.ibmp", "--epochs", 1,
+                    *common]) == 0
+        resume = ["--epochs", 2, "--resume", out / "checkpoint.irbm"]
+        # five classes on a two-class checkpoint
+        assert run(["train", "--dataset", tmp_path / "c5.ibmp", *resume,
+                    *common]) == 1
+        # a labeled checkpoint under a label-free objective
+        assert run(["train", "--dataset", tmp_path / "c2.ibmp", *resume,
+                    *common, "--set", "objective=generative"]) == 1
+        assert capsys.readouterr().err.count("label classes") == 2
+        assert run(["train", "--dataset", tmp_path / "c2.ibmp", *resume,
+                    *common]) == 0
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         code = run(["train", "--dataset", "bars:side=3,n=10,seed=1",
                     "--out-dir", tmp_path / "x", "--epochs", 1,
@@ -119,6 +161,31 @@ class TestTrain:
         assert first[1] == ""        # D=25 is above the exact cap
         assert second[1] != ""       # AIS estimate on the cadence
         assert float(second[1]) < 0
+
+
+    def test_epoch_metrics_build_the_data_posterior_once(self, monkeypatch):
+        X = random_binary(31, 300, 6)
+        params = make_model(32, D=6, l=4)
+        trainer = Trainer(params, TrainConfig(minibatch_size=50), n_train=300)
+        trainer.regroup.M_t = 2
+        calls = []
+        original = ev.marginal_z_posterior
+
+        def counting(p, v, **kwargs):
+            calls.append(np.shape(v)[0])
+            return original(p, v, **kwargs)
+
+        monkeypatch.setattr(cli, "marginal_z_posterior", counting)
+        monkeypatch.setattr(ev, "marginal_z_posterior", counting)
+        m = cli._epoch_metrics(trainer, X, None, cli.RunConfig(dataset="x"))
+        monkeypatch.undo()
+        # the 2^6 enumeration block aside, one build on the 300 rows
+        assert calls.count(300) == 1
+        zp = original(params, X)
+        log_z = ev.exact_log_partition(params)
+        assert m["avg_loglik"] == float(np.mean(ev.log_pstar(params, X))) - log_z
+        assert m["n_h"] == ev.effective_hidden_size(params, X, 50)
+        assert m["max_log_mass"] == float(np.max(zp.mass_at_most(2)))
 
 
 class TestRunConfig:

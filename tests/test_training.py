@@ -8,7 +8,7 @@ from irbm.evaluation import (
     exact_generative_gradient,
     exact_loglik,
 )
-from irbm.model import ModelParams, apply_permutation, zero_model, z_posterior
+from irbm.model import ModelParams, zero_model, z_posterior
 from irbm.rng import stream
 from irbm.sampling import PhaseSamples, run_label_cd
 from irbm.training import (
@@ -301,11 +301,13 @@ class TestPermutationBookkeeping:
         before_acc = trainer.opt.acc.W.copy()
         before_age = trainer.opt.unit_age.copy()
         order = np.array([2, 0, 1])
-        trainer.params = apply_permutation(trainer.params, order)
-        _permute_rows(trainer.opt, order)
+        _permute_rows(trainer.params, trainer.opt, order)
+        assert np.array_equal(trainer.params.W[:3], before_params.W[order])
+        assert np.array_equal(trainer.params.U[:3], before_params.U[order])
+        assert np.array_equal(trainer.opt.acc.W[:3], before_acc[order])
+        assert np.array_equal(trainer.opt.unit_age[:3], before_age[order])
         inverse = np.argsort(order)
-        trainer.params = apply_permutation(trainer.params, inverse)
-        _permute_rows(trainer.opt, inverse)
+        _permute_rows(trainer.params, trainer.opt, inverse)
         assert np.array_equal(trainer.params.W, before_params.W)
         assert np.array_equal(trainer.params.c, before_params.c)
         assert np.array_equal(trainer.opt.acc.W, before_acc)
@@ -352,6 +354,44 @@ class TestRegroupSchedule:
             state.mode_count = 1
             regroup_schedule_update(state, 1000, config)
         assert state.M_t == 190
+
+
+class TestRegroupTrajectory:
+    """Per-epoch (l, M_t) and the regroup statistic's history, recorded from
+    the trainer before growth and permutation ran in place. The statistic
+    reads the stepped model before it grows; read after growth, every epoch
+    that grows moves mz_history."""
+
+    def _run(self, params, config, X, Y, epochs):
+        trainer = Trainer(params, config, n_train=X.shape[0])
+        lm = []
+        for _ in range(epochs):
+            stats = trainer.run_epoch(X, Y)
+            lm.append((stats["l"], stats["M"]))
+        return lm, trainer.regroup.mz_history
+
+    def test_generative_adaptive_regroup(self):
+        from irbm.datasets import synth_bars_and_stripes
+        X = synth_bars_and_stripes(3, 200, 0).X.astype(np.float64)
+        config = TrainConfig(objective="generative", minibatch_size=20,
+                             regroup_mode="adaptive", adaptive_switch_epoch=4,
+                             regroup_rho=0.5, global_lr=0.1, seed=11)
+        lm, mz = self._run(zero_model(D=9), config, X, None, 8)
+        assert lm == [(11, 5), (21, 10), (28, 14), (35, 0), (44, 7), (54, 7),
+                      (63, 8), (72, 8)]
+        assert mz == [6.5, 14.965, 8.625, 6.69, 16.54, 17.97, 18.395, 18.015]
+
+    def test_hybrid_fixed_regroup(self):
+        from irbm.datasets import synth_shifted_patterns
+        ds = synth_shifted_patterns(8, 3, 120, 0, labeled=True)
+        config = TrainConfig(objective="hybrid", alpha=0.05, minibatch_size=20,
+                             regroup_mode="fixed", regroup_rho=0.5,
+                             global_lr=0.1, seed=12)
+        lm, mz = self._run(zero_model(D=8, C=8), config,
+                           ds.X.astype(np.float64), ds.y.astype(np.int64), 6)
+        assert lm == [(7, 3), (13, 6), (19, 9), (25, 12), (31, 15), (37, 18)]
+        assert mz == [4.5, 10.5, 16.5, 21.791666666666668, 26.583333333333332,
+                      28.675]
 
 
 class TestTrainConfig:

@@ -45,7 +45,6 @@ from .evaluation import (
     exact_log_partition,
     exact_loglik,
     log_partition_estimator,
-    permutation_averaged_condlik,
     permutation_averaged_loglik,
 )
 from .datasets import (

@@ -216,22 +216,21 @@ def _epoch_metrics(trainer: Trainer, X, Y, config: RunConfig) -> dict:
     method, log_z = evaluation.log_partition_estimator(
         params, sub_x, rng, config.exact_cap, config.ais_temps,
         config.ais_chains)
-    zp = marginal_z_posterior(params, sub_x)
+    ev = evaluation.order_pass(params, sub_x)
     avg_loglik = None
     # AIS is too costly for every epoch: it runs on the eval_every cadence
     if method == "exact" or trainer.epochs_done % config.eval_every == 0:
         log_z_value, _ = log_z(params)
-        avg_loglik = (float(np.mean(evaluation.log_pstar(params, sub_x, zp=zp)))
-                      - log_z_value)
+        avg_loglik = float(np.mean(ev.log_pstar)) - log_z_value
     error = None
     if Y is not None and params.has_labels:
-        error, _, _, _ = evaluation.classification_metrics(params, sub_x, Y[idx])
+        error = evaluation.classification_metrics(params, sub_x, Y[idx], ev=ev)[0]
     n_h = evaluation.effective_hidden_size(params, sub_x,
-                                           config.train.minibatch_size, zp=zp)
+                                           config.train.minibatch_size, zp=ev.zp)
     m_t = trainer.regroup.M_t
     max_log_mass = None
     if m_t >= 1:
-        max_log_mass = float(np.max(zp.mass_at_most(m_t)))
+        max_log_mass = float(np.max(ev.zp.mass_at_most(m_t)))
     return {"avg_loglik": avg_loglik, "error": error, "n_h": n_h,
             "l_t": params.l, "m_t": m_t, "max_log_mass": max_log_mass}
 
@@ -342,10 +341,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.perms < 1:
+        raise ValueError(f"--perms must be >= 1, got {args.perms}")
     ckpt = load_checkpoint(args.checkpoint)
     data = resolve_dataset(args.dataset, args.split)
     X = data.X.astype(np.float64)
     Y = data.y if (data.y is not None and ckpt.params.has_labels) else None
+    if Y is not None and data.n_classes != ckpt.params.C:
+        raise ValueError(f"checkpoint model has label classes {ckpt.params.C}, "
+                         f"dataset {args.dataset!r} has {data.n_classes}")
     rng = stream(args.seed, "eval")
     m_t = ckpt.regroup.M_t if args.perm_length is None else args.perm_length
     report = full_report(ckpt.params, X, Y, n_perms=args.perms, m=m_t, rng=rng,
@@ -438,6 +442,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.perms < 1:
+        raise ValueError(f"--perms must be >= 1, got {args.perms}")
     try:
         ckpt = load_checkpoint(args.checkpoint)
     except CheckpointError as exc:

@@ -1,6 +1,7 @@
 """Evaluation: exact partition functions for small models, AIS for the rest,
-the order-invariance checker, effective-size estimates and classification
-metrics.
+and the dataset metrics (order invariance, effective size, classification),
+each a reduction over `order_pass`: one activation pass, plus one
+label-weight build for labeled models, per model ordering.
 
 Everything here reads the model without mutating it. Exact quantities
 enumerate all 2^D visible vectors and are guarded by a dimension cap.
@@ -29,8 +30,8 @@ from scipy.special import expit, logit, logsumexp
 from .model import (
     ModelParams,
     ParamBundle,
+    ZPosterior,
     apply_permutation,
-    cond_y_given_v,
     free_energy,
     label_joint_log_weights,
     log_cond_y_given_v,
@@ -141,11 +142,11 @@ def exact_loglik(params: ModelParams, X, cap: int = EXACT_D_CAP) -> float:
     return float(np.mean(log_pstar(params, X))) - log_z
 
 
-def exact_cond_loglik(params: ModelParams, X, Y) -> float:
-    """Mean log p(y | v); needs no partition function."""
-    lp = log_cond_y_given_v(params, np.atleast_2d(X))
-    n = lp.shape[0]
-    return float(np.mean(lp[np.arange(n), np.asarray(Y, dtype=np.int64)]))
+def exact_cond_loglik(params: ModelParams, X, Y, *, ev=None) -> float:
+    """Mean log p(y | v); needs no partition function. ev, when given, is
+    order_pass(params, X)."""
+    lp = (order_pass(params, X) if ev is None else ev).log_cond_y
+    return float(np.mean(lp[np.arange(lp.shape[0]), np.asarray(Y, dtype=np.int64)]))
 
 
 def exact_visible_distribution(params: ModelParams,
@@ -309,15 +310,36 @@ def log_partition_estimator(params: ModelParams, X, rng: np.random.Generator,
     return "ais", ais
 
 
-# -- order invariance ---------------------------------------------------------
+# -- model orderings and order invariance --------------------------------------
 
 
-def _permuted_models(params: ModelParams, m: int, n: int,
-                     rng: np.random.Generator):
-    """n copies of params, each with its first m units in an order drawn by
-    sample_permutation(m, rng), drawn as the copies are taken."""
+@dataclass
+class OrderPass:
+    """What evaluation reads of one model ordering on one dataset."""
+
+    params: ModelParams              # the ordered model
+    zp: ZPosterior                   # marginal p(z | v) of every row
+    log_pstar: np.ndarray            # (n,) log p*(v)
+    log_cond_y: np.ndarray | None    # (n, C) log p(y | v); None without labels
+
+
+def order_pass(params: ModelParams, X) -> OrderPass:
+    """One `unit_inputs` pass over X and, for labeled models, one build of
+    the (n, C, l+1) label weights, which is reduced here and dropped."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    joint = label_joint_log_weights(params, X) if params.has_labels else None
+    zp = marginal_z_posterior(params, X, joint=joint)
+    log_cond_y = None if joint is None else log_cond_y_given_v(params, X, joint=joint)
+    return OrderPass(params, zp, log_pstar(params, X, zp=zp), log_cond_y)
+
+
+def _order_passes(params: ModelParams, X, m: int, n: int,
+                  rng: np.random.Generator, read):
+    """read(order_pass) of n copies of params, each with its first m units in
+    an order drawn by sample_permutation(m, rng) as the passes are taken.
+    Only what read returns is kept: a pass is dropped before the next."""
     for _ in range(n):
-        yield apply_permutation(params, sample_permutation(m, rng))
+        yield read(order_pass(apply_permutation(params, sample_permutation(m, rng)), X))
 
 
 @dataclass
@@ -329,17 +351,6 @@ class InvarianceReport:
     max_log_mass: float          # max_n ln p(z <= M | v_n) over all perms
     mean_log_mass: float
     loglik_spread: float | None  # max - min of exact avg loglik across perms
-    per_perm_loglik: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n_perms": self.n_perms,
-            "max_log_mass": self.max_log_mass,
-            "mean_log_mass": self.mean_log_mass,
-            "loglik_spread": self.loglik_spread,
-            "per_perm_loglik": list(self.per_perm_loglik),
-        }
 
 
 def check_order_invariance(params: ModelParams, X, m: int, n_perms: int,
@@ -354,23 +365,18 @@ def check_order_invariance(params: ModelParams, X, m: int, n_perms: int,
     """
     if m > params.l:
         raise ValueError("cannot permute more units than are materialized")
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     exact_ok = params.D <= cap
-    masses = []
-    logliks = []
-    for pj in _permuted_models(params, m, max(1, n_perms), rng):
-        zp = marginal_z_posterior(pj, X)
-        masses.append(zp.mass_at_most(m))
-        if exact_ok:
-            logliks.append(exact_loglik(pj, X, cap))
-    masses = np.asarray(masses)
+    masses, logliks = zip(*_order_passes(
+        params, X, m, max(1, n_perms), rng,
+        lambda ev: (ev.zp.mass_at_most(m),
+                    float(np.mean(ev.log_pstar)) - exact_log_partition(ev.params, cap)
+                    if exact_ok else None)))
     spread = float(np.max(logliks) - np.min(logliks)) if exact_ok else None
     return InvarianceReport(
         m=m, n_perms=n_perms,
         max_log_mass=float(np.max(masses)),
         mean_log_mass=float(np.mean(masses)),
         loglik_spread=spread,
-        per_perm_loglik=[float(v) for v in logliks],
     )
 
 
@@ -389,24 +395,9 @@ def permutation_averaged_loglik(params: ModelParams, X, n_perms: int,
     if log_z is None:
         _, log_z = log_partition_estimator(params, X, rng)
     m = params.l if m is None else m
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    per_perm = np.empty((max(1, n_perms), X.shape[0]))
-    for j, pj in enumerate(_permuted_models(params, m, per_perm.shape[0], rng)):
-        per_perm[j] = log_pstar(pj, X) - log_z(pj)[0]
-    return float(np.mean(logsumexp(per_perm, axis=0) - np.log(per_perm.shape[0])))
-
-
-def permutation_averaged_condlik(params: ModelParams, X, Y, n_perms: int,
-                                 rng: np.random.Generator,
-                                 m: int | None = None) -> float:
-    """Same averaging for log p(y | v); no partition function involved."""
-    m = params.l if m is None else m
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Y = np.asarray(Y, dtype=np.int64)
-    rows = np.arange(X.shape[0])
-    per_perm = np.empty((max(1, n_perms), X.shape[0]))
-    for j, pj in enumerate(_permuted_models(params, m, per_perm.shape[0], rng)):
-        per_perm[j] = log_cond_y_given_v(pj, X)[rows, Y]
+    per_perm = np.array(list(_order_passes(
+        params, X, m, max(1, n_perms), rng,
+        lambda ev: ev.log_pstar - log_z(ev.params)[0])))
     return float(np.mean(logsumexp(per_perm, axis=0) - np.log(per_perm.shape[0])))
 
 
@@ -448,7 +439,11 @@ def converted_rbm_loglik(params: ModelParams, X, n_h: int,
 
 @dataclass
 class EvalReport:
-    """One evaluation pass, serializable to JSON."""
+    """The evaluation record of a dataset, serializable to JSON. With m >= 2
+    and n_perms > 1, avg_loglik, classification_error and (for a labeled
+    model scored with labels) z_m_histogram come from averages over n_perms
+    sampled orderings; avg_cond_loglik, n_h, log_z and the unlabeled
+    z_m_histogram always use the model's own order."""
 
     avg_loglik: float | None = None
     avg_cond_loglik: float | None = None
@@ -479,26 +474,27 @@ class EvalReport:
 
 
 def classification_metrics(params: ModelParams, X, Y, n_perms: int = 1,
-                           m: int = 0, rng: np.random.Generator | None = None):
+                           m: int = 0, rng: np.random.Generator | None = None,
+                           *, ev=None):
     """Predict argmax_y of the permutation-averaged p(y | v) and collect the
     histogram of z_m, the mode of the averaged p(z | v).
 
     Ties break toward the smaller class / smaller z. With m < 2 or a single
     permutation the average degenerates to the current ordering, and nothing
-    is drawn from rng.
+    is drawn from rng; ev, when given, is then read as order_pass(params, X).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.asarray(Y, dtype=np.int64)
     reps = max(1, n_perms) if m >= 2 else 1
-    p_y = None
-    p_z = None
-    for pj in (_permuted_models(params, m, reps, rng) if reps > 1 else [params]):
-        joint = label_joint_log_weights(pj, X)
-        py_j = cond_y_given_v(pj, X, joint=joint)
-        pz_j = marginal_z_posterior(pj, X, joint=joint).head_probs()
-        del joint
-        p_y = py_j if p_y is None else p_y + py_j
-        p_z = pz_j if p_z is None else p_z + pz_j
+
+    def read(ev_j):
+        return np.exp(ev_j.log_cond_y), ev_j.zp.head_probs()
+
+    reads = ([read(order_pass(params, X) if ev is None else ev)] if reps == 1
+             else _order_passes(params, X, m, reps, rng, read))
+    p_y = p_z = 0.0
+    for py_j, pz_j in reads:
+        p_y = p_y + py_j
+        p_z = p_z + pz_j
     preds = np.argmax(p_y, axis=1)
     z_m = np.argmax(p_z, axis=1) + 1
     values, counts = np.unique(z_m, return_counts=True)
@@ -522,8 +518,8 @@ def full_report(params: ModelParams, X, Y=None, n_perms: int = 1, m: int = 0,
     if rng is None:
         rng = np.random.default_rng(0)
     report = EvalReport(n_perms=n_perms)
-    zp = marginal_z_posterior(params, X)
-    report.n_h = effective_hidden_size(params, X, minibatch_size, zp=zp)
+    ev = order_pass(params, X)
+    report.n_h = effective_hidden_size(params, X, minibatch_size, zp=ev.zp)
     report.method, log_z = log_partition_estimator(params, X, rng, cap,
                                                    ais_temps, ais_chains)
     report.log_z, report.log_z_std_err = log_z(params)
@@ -531,14 +527,14 @@ def full_report(params: ModelParams, X, Y=None, n_perms: int = 1, m: int = 0,
         report.avg_loglik = permutation_averaged_loglik(
             params, X, n_perms, rng, m=m, log_z=log_z)
     else:
-        report.avg_loglik = float(np.mean(log_pstar(params, X, zp=zp))) - report.log_z
+        report.avg_loglik = float(np.mean(ev.log_pstar)) - report.log_z
     if Y is not None and params.has_labels:
-        error, _, _, hist = classification_metrics(params, X, Y, n_perms, m, rng)
+        error, _, _, hist = classification_metrics(params, X, Y, n_perms, m, rng,
+                                                   ev=ev)
         report.classification_error = error
         report.z_m_histogram = hist
-        report.avg_cond_loglik = exact_cond_loglik(params, X, Y)
+        report.avg_cond_loglik = exact_cond_loglik(params, X, Y, ev=ev)
     else:
-        z_m = zp.mode()
-        values, counts = np.unique(z_m, return_counts=True)
+        values, counts = np.unique(ev.zp.mode(), return_counts=True)
         report.z_m_histogram = {int(v): int(c) for v, c in zip(values, counts)}
     return report

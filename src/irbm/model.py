@@ -12,15 +12,15 @@ W (one GEMM). The batch consumers below take its result as a trailing
 keyword argument so a caller holding it does not pay for the GEMM again:
 
 - `A=` (the inputs of the same rows, label term included when the consumer
-  is given labels): `cumulative_unit_terms`, `z_posterior`,
-  `marginal_z_posterior`, and, label-free, `label_joint_log_weights`;
+  is given labels): `cumulative_unit_terms`, `z_posterior` and, label-free,
+  `label_joint_log_weights`;
 - `joint=` (the `label_joint_log_weights` result of the same rows):
   `label_log_weights`, `log_cond_y_given_v`, `cond_y_given_v` and
   `marginal_z_posterior`.
 
 Omitted, each computes what it needs itself. The callers that share are the
 trainer (`training.Trainer.update_step`, one pass per visible batch), the
-samplers in `sampling` and the evaluation passes in `evaluation`.
+samplers in `sampling`, and `evaluation.order_pass`, one pass per ordering.
 """
 
 from __future__ import annotations
@@ -441,18 +441,15 @@ def cond_y_given_v(params: ModelParams, v, *, joint=None) -> np.ndarray:
     return np.exp(log_cond_y_given_v(params, v, joint=joint))
 
 
-def marginal_z_posterior(params: ModelParams, v, *, A=None,
-                         joint=None) -> ZPosterior:
+def marginal_z_posterior(params: ModelParams, v, *, joint=None) -> ZPosterior:
     """p(z | v) regardless of labels: for labeled models the classes are
-    summed out; otherwise this is the plain posterior. A is the label-free
-    unit_inputs(params, v); joint, for labeled models, the
-    label_joint_log_weights of the same rows."""
+    summed out; otherwise this is the plain posterior. joint, for labeled
+    models, is the label_joint_log_weights of the same rows."""
     if not params.has_labels:
-        return z_posterior(params, v, A=A)
+        return z_posterior(params, v)
     V, single = _as_batch(v)
     if joint is None:
-        joint = label_joint_log_weights(
-            params, V, A=None if A is None else np.atleast_2d(A))
+        joint = label_joint_log_weights(params, V)
     logw, tail = joint
     head = log_sum_exp(logw, axis=1)            # (n, l+1)
     tail = log_sum_exp(tail)                    # (n,)

@@ -17,6 +17,15 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def write_class_sets(tmp_path):
+    """The same 40 rows, 6 bits each, labeled with 2 and with 5 classes."""
+    rng = np.random.default_rng(3)
+    X = (rng.random((40, 6)) < 0.5).astype(np.uint8)
+    for C in (2, 5):
+        write_ibmp(tmp_path / f"c{C}.ibmp", {"train": Dataset(
+            X=X, y=(np.arange(40) % C).astype(np.int32), n_classes=C)})
+
+
 def train_small(tmp_path, epochs=2, extra=()):
     out = tmp_path / "run"
     code = run(["train", "--dataset", "bars:side=3,n=120,seed=1",
@@ -115,11 +124,7 @@ class TestTrain:
         assert (out / "checkpoint.irbm").read_bytes() == before
 
     def test_label_mismatch_on_resume_rejected(self, tmp_path, capsys):
-        rng = np.random.default_rng(3)
-        X = (rng.random((40, 6)) < 0.5).astype(np.uint8)
-        for C in (2, 5):
-            write_ibmp(tmp_path / f"c{C}.ibmp", {"train": Dataset(
-                X=X, y=(np.arange(40) % C).astype(np.int32), n_classes=C)})
+        write_class_sets(tmp_path)
         out = tmp_path / "run"
         common = ["--out-dir", out, "--set", "minibatch_size=20",
                   "--set", "seed=5", "--set", "objective=hybrid"]
@@ -241,6 +246,20 @@ class TestEval:
         code = run(["eval", out / "checkpoint.irbm", data, "--split", "test"])
         assert code == 1
 
+    def test_label_count_mismatch_rejected(self, tmp_path, capsys):
+        write_class_sets(tmp_path)
+        out = tmp_path / "run"
+        assert run(["train", "--dataset", tmp_path / "c2.ibmp", "--epochs", 1,
+                    "--out-dir", out, "--set", "minibatch_size=20",
+                    "--set", "objective=hybrid"]) == 0
+        capsys.readouterr()
+        # a two-class checkpoint scored on five classes
+        code = run(["eval", out / "checkpoint.irbm", tmp_path / "c5.ibmp",
+                    "--split", "train", "--perms", 1])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "label classes 2" in err and "has 5" in err
+
     def test_perm_average_reported_for_regrouped_model(self, tmp_path, capsys):
         out = train_small(tmp_path, epochs=3,
                           extra=["--set", "regroup_mode=fixed",
@@ -280,6 +299,18 @@ class TestEval:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["method"] == "exact"
         assert "single_order_loglik" in payload
+
+
+@pytest.mark.parametrize("command, data", [
+    ("eval", ["bars:side=3,n=60,seed=2", "--split", "train"]),
+    ("check", ["--dataset", "bars:side=3,n=60,seed=2"]),
+])
+def test_perms_below_one_rejected(tmp_path, capsys, command, data):
+    out = train_small(tmp_path, epochs=1)
+    capsys.readouterr()
+    for perms in (0, -2):
+        assert run([command, out / "checkpoint.irbm", *data, "--perms", perms]) == 1
+        assert f"--perms must be >= 1, got {perms}" in capsys.readouterr().err
 
 
 class TestSample:

@@ -24,7 +24,6 @@ from irbm.evaluation import (
     exact_generative_gradient,
     full_report,
     log_pstar,
-    permutation_averaged_condlik,
     permutation_averaged_loglik,
 )
 from irbm.evaluation import _block_bits, _visible_blocks
@@ -33,12 +32,14 @@ from irbm.model import (
     ModelParams,
     apply_permutation,
     free_energy,
+    marginal_z_posterior,
     unit_inputs,
     zero_model,
     z_posterior,
 )
 from irbm.rng import stream
 from irbm.sampling import gibbs_sweep
+from irbm.training import sample_permutation
 
 R = 2.0 ** (-0.01)
 
@@ -203,6 +204,23 @@ class TestOrderInvariance:
         assert report.loglik_spread == 0.0
         assert report.max_log_mass == -np.inf
 
+    def test_labeled_model_matches_a_recomputation(self):
+        m = make_model(408, D=4, l=4, C=3, scale=1.5)
+        X = random_binary(56, 9, 4)
+        report = check_order_invariance(m, X, m=3, n_perms=4,
+                                        rng=stream(57, "inv-lab"))
+        draws = stream(57, "inv-lab")
+        masses, logliks = [], []
+        for _ in range(4):
+            pj = apply_permutation(m, sample_permutation(3, draws))
+            masses.append(marginal_z_posterior(pj, X).mass_at_most(3))
+            logliks.append(exact_loglik(pj, X))
+        assert report.max_log_mass == pytest.approx(np.max(masses), abs=1e-12)
+        assert report.mean_log_mass == pytest.approx(np.mean(masses), abs=1e-12)
+        spread = max(logliks) - min(logliks)
+        assert spread > 1e-6
+        assert report.loglik_spread == pytest.approx(spread, abs=1e-12)
+
     def test_rejects_m_beyond_pool(self):
         m = make_model(404, D=4, l=2)
         with pytest.raises(ValueError):
@@ -242,13 +260,6 @@ class TestPermutationAveragedLikelihood:
         prob_domain = permutation_averaged_loglik(m, X, 6, rng1, m=3)
         assert prob_domain >= log_domain - 1e-12
 
-    def test_conditional_variant(self):
-        m = make_model(408, D=4, l=3, C=3)
-        X = random_binary(56, 6, 4)
-        Y = np.array([0, 1, 2, 0, 1, 2])
-        got = permutation_averaged_condlik(m, X, Y, 1, stream(57, "pac"), m=0)
-        assert got == pytest.approx(exact_cond_loglik(m, X, Y), abs=1e-12)
-
     def test_far_class_keeps_a_finite_conditional_loglik(self):
         # a logit gap of ~800 nats underflows p(y | v) to 0 in the
         # probability domain
@@ -263,9 +274,6 @@ class TestPermutationAveragedLikelihood:
         assert want == pytest.approx(-800.0, abs=1.0)
         got = exact_cond_loglik(m, v[None, :], np.array([1]))
         assert got == pytest.approx(want, abs=1e-9)
-        averaged = permutation_averaged_condlik(m, v[None, :], np.array([1]), 3,
-                                                stream(58, "pac-far"))
-        assert averaged == pytest.approx(want, abs=1e-9)
 
 
 class TestEffectiveSize:

@@ -1,9 +1,9 @@
 """Log-domain kernels, the shared activation pass and the z sampler.
 
 The kernels are checked against the numpy/scipy forms they replace; the
-shared pass is checked by counting activation passes per update and by
-running the same update with the sharing stripped out, which must give
-bit-identical parameters.
+shared pass is checked by counting activation passes per update (and
+evaluation passes per model ordering) and by running the same update with
+the sharing stripped out, which must give bit-identical parameters.
 """
 
 import inspect
@@ -14,6 +14,7 @@ from scipy.special import logsumexp
 
 import oracles
 from conftest import make_model, random_binary
+import irbm.cli as cli
 from irbm import evaluation, model, sampling, training
 from irbm.model import (
     label_joint_log_weights,
@@ -134,17 +135,19 @@ class TestZSampler:
 
 # -- the shared activation pass -------------------------------------------------
 
-SHARED_KWARGS = ("A", "joint", "zp")
+SHARED_KWARGS = ("A", "joint", "zp", "ev")
 MODULES = (model, sampling, training, evaluation)
 
 
 def _count_calls(monkeypatch, name):
-    """Count calls of model.<name> made through any irbm namespace."""
+    """Count calls of model.<name> made through any irbm namespace, and
+    record the number of rows of the batch each call gets."""
     original = getattr(model, name)
-    counter = {"n": 0}
+    counter = {"n": 0, "rows": []}
 
     def counted(*args, **kwargs):
         counter["n"] += 1
+        counter["rows"].append(np.atleast_2d(args[1]).shape[0])
         return original(*args, **kwargs)
 
     for mod in MODULES:
@@ -235,3 +238,43 @@ class TestActivationPasses:
             _strip_sharing(patch)
             plain = evaluation.full_report(m, X, Y, rng=stream(15, "eval"))
         assert shared.to_json() == plain.to_json()
+
+
+class TestOrderPasses:
+    """One evaluation pass per model ordering and dataset. The dataset has
+    N rows, so its builds are told apart from those on the 2^6-row
+    enumeration blocks of exact log Z."""
+
+    N = 300
+
+    def _data(self, labeled):
+        m = make_model(16, D=6, l=4, C=3 if labeled else 0)
+        return m, random_binary(16, self.N, 6), np.arange(self.N) % 3
+
+    # the identity pass, plus, with m >= 2, one pass per ordering for the
+    # log-likelihood and another per ordering for classification
+    @pytest.mark.parametrize("n_perms, m, builds", [(1, 0, 1), (1, 3, 1), (3, 3, 7)])
+    def test_full_report_label_weight_builds(self, monkeypatch, n_perms, m, builds):
+        params, X, Y = self._data(labeled=True)
+        joint = _count_calls(monkeypatch, "label_joint_log_weights")
+        evaluation.full_report(params, X, Y, n_perms=n_perms, m=m,
+                               rng=stream(17, "eval"))
+        assert joint["rows"].count(self.N) == builds
+
+    def test_epoch_metrics_build_the_label_weights_once(self, monkeypatch):
+        params, X, Y = self._data(labeled=True)
+        config = TrainConfig(objective="hybrid", alpha=0.1, minibatch_size=50)
+        trainer = Trainer(params, config, n_train=self.N)
+        trainer.regroup.M_t = 2
+        joint = _count_calls(monkeypatch, "label_joint_log_weights")
+        metrics = cli._epoch_metrics(trainer, X, Y, cli.RunConfig(dataset="x"))
+        assert joint["rows"].count(self.N) == 1
+        assert metrics["error"] is not None
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_invariance_builds_one_posterior_per_ordering(self, monkeypatch, labeled):
+        params, X, _ = self._data(labeled)
+        posteriors = _count_calls(monkeypatch, "marginal_z_posterior")
+        evaluation.check_order_invariance(params, X, m=3, n_perms=3,
+                                          rng=stream(18, "inv"))
+        assert posteriors["rows"].count(self.N) == 3

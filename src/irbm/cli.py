@@ -350,6 +350,9 @@ def cmd_eval(args) -> int:
     if Y is not None and data.n_classes != ckpt.params.C:
         raise ValueError(f"checkpoint model has label classes {ckpt.params.C}, "
                          f"dataset {args.dataset!r} has {data.n_classes}")
+    if args.perm_length is not None and not 0 <= args.perm_length <= ckpt.params.l:
+        raise ValueError(f"--perm-length must lie in 0..{ckpt.params.l}, "
+                         f"got {args.perm_length}")
     rng = stream(args.seed, "eval")
     m_t = ckpt.regroup.M_t if args.perm_length is None else args.perm_length
     report = full_report(ckpt.params, X, Y, n_perms=args.perms, m=m_t, rng=rng,
@@ -637,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--split", default="test")
     e.add_argument("--perms", type=int, default=5)
     e.add_argument("--perm-length", type=int, default=None,
-                   help="units to permute (default: the checkpoint's M_t)")
+                   help="units to permute, 0..l (default: the checkpoint's M_t)")
     e.add_argument("--converted-rbm", action="store_true")
     e.add_argument("--exact-cap", type=int, default=EXACT_D_CAP,
                    help="enumerate all 2^D visible vectors when D is at "

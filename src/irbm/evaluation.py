@@ -9,7 +9,8 @@ enumerate all 2^D visible vectors and are guarded by a dimension cap.
 Cost of exact evaluation. One enumeration does 2^D * (l+1) cells of work
 (times C for labeled models). The vectors are visited in blocks of rows that
 share their high bits (`_visible_blocks`), each block sized to about
-`BLOCK_CELLS` cells, so the memory held is the 2^D vector of log p*(v)
+`model.BLOCK_CELLS` cells by the row-block rule `model.block_rows`, but never
+below `MIN_BLOCK_ROWS` rows, so the memory held is the 2^D vector of log p*(v)
 (8 * 2^D bytes) plus one block's temporaries; no 2^D x l array is built.
 Every row gets the same operations as in a one-shot pass over
 `all_binary_vectors(D)`, so per-row values and log Z keep their bits as
@@ -32,6 +33,7 @@ from .model import (
     ParamBundle,
     ZPosterior,
     apply_permutation,
+    block_rows,
     free_energy,
     label_joint_log_weights,
     log_cond_y_given_v,
@@ -45,11 +47,6 @@ from .sampling import gibbs_sweep
 from .training import sample_permutation
 
 EXACT_D_CAP = 14
-# cells (float64 values of one (rows, C, l+1) array) an enumeration block is
-# sized to: 256 KB per array, so the handful of arrays a block makes stay in
-# a per-core L2 cache (on a Xeon with 2 MB of L2, 2^14-2^15 cells ran
-# 1.6x faster than 2^16 or more at l=61, and as fast as any at l=10)
-BLOCK_CELLS = 2 ** 15
 MIN_BLOCK_ROWS = 2 ** 6
 
 
@@ -65,10 +62,9 @@ def _require_small(params: ModelParams, cap: int):
 
 
 def _block_bits(params: ModelParams) -> int:
-    """log2 of the rows per enumeration block: about BLOCK_CELLS cells of
-    (l+1) per class, at least MIN_BLOCK_ROWS rows, at most all 2^D."""
-    cells_per_row = (params.l + 1) * max(params.C, 1)
-    rows = max(BLOCK_CELLS // cells_per_row, MIN_BLOCK_ROWS)
+    """log2 of the rows per enumeration block: `block_rows` of (l+1) cells
+    per class, at least MIN_BLOCK_ROWS rows, at most all 2^D."""
+    rows = max(block_rows((params.l + 1) * max(params.C, 1)), MIN_BLOCK_ROWS)
     return min(rows.bit_length() - 1, params.D)
 
 

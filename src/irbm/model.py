@@ -21,6 +21,14 @@ keyword argument so a caller holding it does not pay for the GEMM again:
 Omitted, each computes what it needs itself. The callers that share are the
 trainer (`training.Trainer.update_step`, one pass per visible batch), the
 samplers in `sampling`, and `evaluation.order_pass`, one pass per ordering.
+
+Row blocks. Work whose rows do not depend on each other runs in blocks of
+rows sized by `BLOCK_CELLS` (`row_blocks`): the trainer's label pass
+(`training.grad_discriminative_exact`, one `label_joint_log_weights` build
+per block of the data batch, and the regroup statistic), its optimizer step
+and max-norm projection, and exact enumeration in `evaluation`, which keeps
+a floor of its own on the rows per block. Every GEMM and every sum over the
+rows of a batch still runs on the full arrays, so blocking moves no bit.
 """
 
 from __future__ import annotations
@@ -30,6 +38,24 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 LN2 = float(np.log(2.0))
+# cells (float64 values) a row block is sized to: 256 KB per array, so the
+# handful of arrays a block makes stay in a per-core L2 cache (on a Xeon with
+# 2 MB of L2, exact enumeration ran 1.6x faster with 2^14-2^15 cells than with
+# 2^16 or more at l=61, and as fast as any at l=10)
+BLOCK_CELLS = 2 ** 15
+
+
+def block_rows(cells_per_row: int) -> int:
+    """Rows per block: about BLOCK_CELLS cells, at least one row."""
+    return max(1, BLOCK_CELLS // cells_per_row)
+
+
+def row_blocks(n_rows: int, cells_per_row: int):
+    """Slices covering rows 0..n_rows-1 in order, block_rows(cells_per_row)
+    rows each (the last may be shorter)."""
+    rows = block_rows(cells_per_row)
+    for start in range(0, n_rows, rows):
+        yield slice(start, min(start + rows, n_rows))
 
 
 def softplus(x):

@@ -9,13 +9,22 @@ cutoff beyond it.
 
 An update makes one activation pass (`model.unit_inputs`) per visible batch:
 the data batch before the step, which feeds the positive z draw, the first
-CD h draw, the positive gradient term and, for labeled models, the
-per-class weights of `model.label_joint_log_weights`, built once and read by
-both the positive label draw and `grad_discriminative_exact`; each negative
-batch (one per CD round, plus the particles' starting state under PCD),
-which feeds its z draw, the next h draw and the negative gradient term; and
-the data batch after the step, for the regroup statistic, which must read
-the updated parameters. CD-k thus makes k + 2 passes.
+CD h draw, the positive gradient term and, for labeled models, the label
+pass; each negative batch (one per CD round, plus the particles' starting
+state under PCD), which feeds its z draw, the next h draw and the negative
+gradient term; and the data batch after the step, for the regroup
+statistic, which must read the updated parameters. CD-k thus makes k + 2
+passes.
+
+The label pass (`grad_discriminative_exact`) builds the per-class weights
+of `model.label_joint_log_weights` once per batch, block by block over
+cache-sized row blocks (`model.row_blocks`), and each block is read by both
+the positive label draw, through p(y | v), and the exact discriminative
+gradient; the regroup statistic of a labeled model goes through the same
+blocks. No (n, C, l+1) array lives for a whole update. The optimizer step
+and the max-norm projection also run in row blocks. Every GEMM and every
+sum over the examples of a batch runs on the full arrays, so the blocking
+moves no bit.
 """
 
 from __future__ import annotations
@@ -30,11 +39,11 @@ from . import sampling
 from .model import (
     ModelParams,
     ParamBundle,
-    cond_y_given_v,
     label_joint_log_weights,
     log_sum_exp,
     marginal_z_posterior,
     permute_units,
+    row_blocks,
     suffix_probs,
     unit_inputs,
     with_label_inputs,
@@ -173,47 +182,72 @@ def grad_generative(params: ModelParams, pos: PhaseSamples,
     return gp
 
 
+def _label_blocks(params: ModelParams, V, A):
+    """(rows, label_joint_log_weights of those rows) over the row blocks of
+    the batch V, whose label-free unit inputs are A: no (n, C, l+1) array is
+    built for the whole batch."""
+    for rows in row_blocks(V.shape[0], (params.l + 1) * params.C):
+        yield rows, label_joint_log_weights(params, V[rows], A=A[rows])
+
+
 def grad_discriminative_exact(params: ModelParams, V, Y, *, A=None,
-                              joint=None) -> Gradients:
+                              p_y=None) -> Gradients | None:
     """Exact gradient of -mean log p(y | v) for the materialized units.
 
     Uses the closed form: the derivative of the per-class free energy has
     rows -p(z >= i | v, y) * sigmoid(input_i) * v, and the data term minus
     the p(y | v)-weighted class average gives the objective gradient. Every
     parameter beyond the pool keeps gradient zero. A, when given, is the
-    label-free unit_inputs(params, V) and joint the
-    label_joint_log_weights(params, V) of the same batch.
+    label-free unit_inputs(params, V).
+
+    This is the trainer's one label pass over a batch. It builds the
+    per-class weights block by block (`_label_blocks`) and reduces each
+    block to its rows of p(y | v) and of the gradient's per-example terms;
+    the GEMM and the sums over examples then run once on the full arrays.
+    p_y, when given, is an (n, C) array that receives p(y | v), which the
+    positive label draw reads. With Y None only p_y is filled and None is
+    returned.
     """
     if not params.has_labels:
         raise ValueError("discriminative gradient needs label weights")
     V = np.asarray(V, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.int64)
-    if Y.shape[0] != V.shape[0]:
-        raise ValueError("one label per example is required")
     n, l, C = V.shape[0], params.l, params.C
+    if Y is not None:
+        Y = np.asarray(Y, dtype=np.int64)
+        if Y.shape[0] != n:
+            raise ValueError("one label per example is required")
     if A is None:
         A = unit_inputs(params, V)
-    if joint is None:
-        joint = label_joint_log_weights(params, V, A=A)
-    logw, tail = joint                                  # (n, C, l+1), (n, C)
-    log_norm = log_sum_exp(logw, tail)                  # -F(y|v)
-    p_y = np.exp(log_norm - log_sum_exp(log_norm)[:, None])
-    P_geq = suffix_probs(logw, tail, log_norm)[..., :l]  # (n, C, l)
-    S = expit(A[:, None, :] + params.U.T[None, :, :])    # (n, C, l)
-    R = P_geq * S
-    del S
+    if p_y is None:
+        p_y = np.empty((n, C))
+    dynamic = params.penalty.mode == "dynamic"
+    if Y is not None:
+        R = np.empty((n, C, l))
+        Q = np.empty((n, l))
+        Pg_diff = np.empty((n, l)) if dynamic else None
+    for rows, (logw, tail) in _label_blocks(params, V, A):
+        log_norm = log_sum_exp(logw, tail)                   # -F(y|v)
+        p = p_y[rows]
+        np.exp(log_norm - log_sum_exp(log_norm)[:, None], out=p)
+        if Y is None:
+            continue
+        P_geq = suffix_probs(logw, tail, log_norm)[..., :l]  # (rows, C, l)
+        del logw
+        Rb = R[rows]
+        np.multiply(P_geq, expit(A[rows, None, :] + params.U.T[None, :, :]),
+                    out=Rb)
+        data = np.arange(Rb.shape[0]), Y[rows]
+        Q[rows] = Rb[data] - np.einsum("ny,nyi->ni", p, Rb)
+        if dynamic:
+            Pg_diff[rows] = P_geq[data] - np.einsum("ny,nyi->ni", p, P_geq)
+    if Y is None:
+        return None
 
-    E = _one_hot(Y, C)
-    R_data = R[np.arange(n), Y]                # (n, l)
-    Q = R_data - np.einsum("ny,nyi->ni", p_y, R)
-    coef = E - p_y                             # (n, C)
-
+    coef = _one_hot(Y, C) - p_y                # (n, C)
     g = Gradients.zeros(params)
     g.W[:] = -(Q.T @ V) / n
     g.c[:] = -Q.mean(axis=0)
-    if params.penalty.mode == "dynamic":
-        Pg_data = P_geq[np.arange(n), Y]
-        Pg_diff = Pg_data - np.einsum("ny,nyi->ni", p_y, P_geq)
+    if dynamic:
         g.c += params.penalty.beta * expit(params.c) * Pg_diff.mean(axis=0)
     g.U[:] = -np.einsum("ny,nyi->iy", coef, R) / n
     g.d[:] = -coef.mean(axis=0)
@@ -358,14 +392,40 @@ def growth_decision(z_pos_max: int, z_neg_max: int, l: int) -> bool:
 
 
 def max_norm_project(params: ModelParams, w_bound: float, u_bound: float):
-    """Rescale any weight row whose Euclidean norm exceeds its radius."""
+    """Rescale any weight row whose Euclidean norm exceeds its radius, one
+    row block at a time."""
     for arr, bound in ((params.W, w_bound), (params.U, u_bound)):
         if arr is None:
             continue
-        norms = np.linalg.norm(arr, axis=1)
-        over = norms > bound
-        if np.any(over):
-            arr[over] *= (bound / norms[over])[:, None]
+        for rows in row_blocks(*arr.shape):
+            block = arr[rows]
+            norms = np.linalg.norm(block, axis=1)
+            over = norms > bound
+            if np.any(over):
+                block[over] *= (bound / norms[over])[:, None]
+
+
+def _step_blocks(grad: Gradients):
+    """(name, rows) of every piece of the optimizer step: the row blocks of
+    W and U, and the vectors whole."""
+    for name, g in grad.blocks():
+        if g.ndim == 2:
+            for rows in row_blocks(*g.shape):
+                yield name, rows
+        else:
+            yield name, slice(None)
+
+
+def _regroup_modes(params: ModelParams, V) -> np.ndarray:
+    """Tail-pooled modes of the marginal p(z | v) of the batch, the regroup
+    statistic; a labeled model's goes through the label row blocks."""
+    if not params.has_labels:
+        return marginal_z_posterior(params, V).mode(pool_tail=True)
+    modes = np.empty(V.shape[0], dtype=np.int64)
+    for rows, joint in _label_blocks(params, V, unit_inputs(params, V)):
+        modes[rows] = marginal_z_posterior(params, V[rows],
+                                           joint=joint).mode(pool_tail=True)
+    return modes
 
 
 class Trainer:
@@ -425,28 +485,37 @@ class Trainer:
     def _apply_gradient(self, grad: Gradients):
         """One optimizer step from grad, which is overwritten: each block
         becomes its step, computed in place with one scratch array for
-        ADAGRAD's g*g and sqrt(acc) + eps."""
+        ADAGRAD's g*g and sqrt(acc) + eps.
+
+        Two passes over the row blocks of `_step_blocks`: the first adds
+        the L2 and L1 terms and checks that the gradient is finite, so a
+        non-finite gradient raises before any parameter or optimizer state
+        changes; the second takes the ADAGRAD, momentum and parameter steps.
+        """
         cfg = self.config
-        if cfg.l2_weight:
-            grad.W += cfg.l2_weight * self.params.W
-            if grad.U is not None:
-                grad.U += cfg.l2_weight * self.params.U
-        if cfg.l1_weight:
-            for g, w in ((grad.W, self.params.W), (grad.U, self.params.U)):
-                if g is not None:
+        pieces = list(_step_blocks(grad))
+        for name, rows in pieces:
+            g = getattr(grad, name)[rows]
+            if name in ("W", "U"):
+                w = getattr(self.params, name)[rows]
+                if cfg.l2_weight:
+                    g += cfg.l2_weight * w
+                if cfg.l1_weight:
                     s = np.sign(w)
                     s *= cfg.l1_weight
                     g += s
-        grad.check_finite()
+            if not np.all(np.isfinite(g)):
+                raise FloatingPointError(f"non-finite entries in block {name}")
         unit_m, glob_m = self._momentum()
         lr = cfg.global_lr
         if cfg.lr_mode == "decay":
             lr = cfg.global_lr / (1.0 + self.opt.t / cfg.lr_half_life)
-        for name, g in grad.blocks():
-            p = getattr(self.params, name)
-            vel = getattr(self.opt.vel, name)
+        for name, rows in pieces:
+            g = getattr(grad, name)[rows]
+            p = getattr(self.params, name)[rows]
+            vel = getattr(self.opt.vel, name)[rows]
             if cfg.lr_mode == "adagrad":
-                acc = getattr(self.opt.acc, name)
+                acc = getattr(self.opt.acc, name)[rows]
                 scratch = np.multiply(g, g)
                 acc += scratch
                 np.sqrt(acc, out=scratch)
@@ -456,18 +525,16 @@ class Trainer:
             else:
                 np.multiply(g, lr, out=g)
             m = glob_m if name in ("b_v", "d") else (
-                unit_m[:, None] if g.ndim == 2 else unit_m)
+                unit_m[rows, None] if g.ndim == 2 else unit_m[rows])
             vel *= m
             vel -= g
             p += vel
 
-    def _positive_generative(self, V, t: int, A, joint=None) -> PhaseSamples:
+    def _positive_generative(self, V, t: int, A, p_y) -> PhaseSamples:
         """Positive phase from the data batch's label-free inputs A; a
-        labeled model draws y from p(y | v), given by joint (the batch's
-        label_joint_log_weights)."""
+        labeled model draws y from p_y, the batch's p(y | v)."""
         rng = stream(self.config.seed, "pos", t)
         if self.params.has_labels:
-            p_y = cond_y_given_v(self.params, V, joint=joint)
             y_draw = sampling.categorical_rows(p_y, rng)
             A = with_label_inputs(self.params, A, y_draw)
             z_pos = sampling.draw_z(self.params, V, y_draw, rng, A=A)
@@ -504,14 +571,18 @@ class Trainer:
         z_pos_max = 0
         z_neg_max = 0
         A = unit_inputs(params, V)
-        # the per-class weights, when a consumer below needs them
-        joint = None
-        if params.has_labels and (cfg.objective != "discriminative"
-                                  or cfg.dis_grad == "exact"):
-            joint = label_joint_log_weights(params, V, A=A)
+        # the one label pass: p(y | v) for the positive label draw and, with
+        # the exact discriminative gradient, that gradient
+        p_y = dis = None
+        exact_dis = cfg.objective != "generative" and cfg.dis_grad == "exact"
+        if params.has_labels and cfg.objective != "discriminative":
+            p_y = np.empty((V.shape[0], params.C))
+        if exact_dis or p_y is not None:
+            dis = grad_discriminative_exact(params, V, Y if exact_dis else None,
+                                            A=A, p_y=p_y)
 
         if cfg.objective in ("generative", "hybrid"):
-            pos = self._positive_generative(V, t, A, joint)
+            pos = self._positive_generative(V, t, A, p_y)
             neg = self._negative_generative(pos, t)
             gen = grad_generative(params, pos, neg)
             z_pos_max = int(pos.z.max())
@@ -532,23 +603,18 @@ class Trainer:
             if cfg.dis_grad == "sampled":
                 dis = grad_discriminative_sampled(params, V, Y, z_pos_d, neg_d,
                                                   A=A)
-            else:
-                dis = grad_discriminative_exact(params, V, Y, A=A, joint=joint)
             if cfg.objective == "discriminative":
                 z_pos_max = int(z_pos_d.max())
                 z_neg_max = int(neg_d.z.max())
                 grad = dis
             else:
                 grad = hybrid_gradient(dis, gen, cfg.alpha, cfg.hybrid_convention)
-        # free the per-class weights before the regroup statistic builds its own
-        del joint
 
         self._apply_gradient(grad)
         max_norm_project(params, cfg.w_bound, cfg.u_bound)
 
         # the regroup statistic reads the stepped model before it grows
-        self.regroup.record_modes(
-            marginal_z_posterior(params, V).mode(pool_tail=True))
+        self.regroup.record_modes(_regroup_modes(params, V))
         grew = growth_decision(z_pos_max, z_neg_max, l_before)
         if grew:
             _grow_by_one(params, self.opt)

@@ -1,0 +1,49 @@
+"""The summary and table of scripts/bench_pairs.py, on hand-built runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "epoch_s_p50", "unit": "s", "better": "lower"},
+           {"name": "peak_rss_mb", "unit": "MB", "better": "lower"}]
+
+
+def _run(epoch, rss, digest="d", failed=0):
+    return {"metrics": {"epoch_s_p50": epoch, "peak_rss_mb": rss},
+            "digest": digest, "attempted": 10, "failed": failed}
+
+
+def test_parse_seeds():
+    assert bench_pairs.parse_seeds("3201-3203,7") == [3201, 3202, 3203, 7]
+    with pytest.raises(ValueError):
+        bench_pairs.parse_seeds("")
+
+
+def test_summary_counts_wins_ties_digests_and_failures():
+    pairs = [
+        {"parent": _run(1.0, 100.0), "change": _run(0.8, 100.0)},   # rss tie
+        {"parent": _run(1.2, 101.0), "change": _run(0.9, 99.0, digest="e")},
+        {"parent": _run(0.9, 102.0), "change": _run(1.1, 98.0, failed=2)},
+        {"parent": _run(1.1, 103.0), "change": {"exit": 2, "error": "boom"}},
+    ]
+    s = bench_pairs.summarize(pairs, METRICS)
+    epoch, rss = s["metrics"]["epoch_s_p50"], s["metrics"]["peak_rss_mb"]
+    assert (s["pairs"], s["pairs_with_results"]) == (4, 3)
+    assert (epoch["change_won"], epoch["of"]) == (2, 3)
+    assert rss["change_won"] == 2
+    assert epoch["parent"] == {"median": 1.0, "q1": 0.95, "q3": 1.1}
+    assert epoch["change_over_parent"] == pytest.approx(0.9)
+    assert s["digests_equal"] == 2
+    assert (s["change_failed"], s["change_attempted"]) == (2, 30)
+    assert s["change_runs_without_result"] == 1
+
+    text = bench_pairs.table({"summary": {"w": s}})
+    assert "| w | epoch_s_p50 | 1.000 [0.950, 1.100] | 0.900 [0.850, 1.000] | 2/3 | 0.900 |" in text
+    assert "| w | peak_rss_mb | 101.00 [100.50, 101.50] | 99.00 [98.50, 99.50] | 2/3 | 0.980 |" in text
+    assert "w: digests equal in 2/4 pairs" in text

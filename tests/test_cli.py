@@ -313,6 +313,22 @@ def test_perms_below_one_rejected(tmp_path, capsys, command, data):
         assert f"--perms must be >= 1, got {perms}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("perm_length", [1000, -3])
+@pytest.mark.parametrize("perms", [1, 3])
+def test_perm_length_outside_the_pool_rejected(tmp_path, capsys, perm_length,
+                                               perms):
+    out = train_small(tmp_path, epochs=1)
+    l = load_checkpoint(out / "checkpoint.irbm").params.l
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert run(["eval", out / "checkpoint.irbm", "bars:side=3,n=60,seed=2",
+                "--split", "train", "--perms", perms,
+                "--perm-length", perm_length, "--out", report]) == 1
+    assert (f"--perm-length must lie in 0..{l}, got {perm_length}"
+            in capsys.readouterr().err)
+    assert not report.exists()
+
+
 class TestSample:
     def test_zero_samples_writes_nothing(self, tmp_path, capsys):
         out = train_small(tmp_path)

@@ -278,3 +278,106 @@ class TestOrderPasses:
         evaluation.check_order_invariance(params, X, m=3, n_perms=3,
                                           rng=stream(18, "inv"))
         assert posteriors["rows"].count(self.N) == 3
+
+
+# -- row blocks -------------------------------------------------------------------
+
+# The test batch has 20 rows; the label blocks of the trainer's l=9, C=3 model
+# hold (l+1) * C = 30 cells per row.
+N_ROWS = 20
+LABEL_CELLS = (9 + 1) * 3
+
+
+def _same_bundle(a, b):
+    return all((x is None and y is None) or np.array_equal(x, y)
+               for x, y in zip((a.W, a.b_v, a.c, a.U, a.d),
+                               (b.W, b.b_v, b.c, b.U, b.d)))
+
+
+class TestRowBlocks:
+    """Blocking rows keeps every bit: label blocks of 1 row, of 7 rows (not a
+    divisor of 20) and of all 20 rows give the same results, and so do
+    optimizer blocks of 1 row, of 4 rows (not a divisor of l=9) and of all
+    rows."""
+
+    @pytest.mark.parametrize("mode", ["constant", "dynamic"])
+    def test_label_pass_and_regroup_modes(self, monkeypatch, mode):
+        m = make_model(21, D=10, l=9, C=3, scale=2.0, mode=mode)
+        V, Y = random_binary(22, N_ROWS, 10), np.arange(N_ROWS) % 3
+        results = []
+        for rows in (1, 7, N_ROWS):
+            monkeypatch.setattr(model, "BLOCK_CELLS", rows * LABEL_CELLS)
+            assert next(model.row_blocks(N_ROWS, LABEL_CELLS)) == slice(0, rows)
+            p_y, p_alone = np.empty((N_ROWS, 3)), np.empty((N_ROWS, 3))
+            g = training.grad_discriminative_exact(m, V, Y, p_y=p_y)
+            assert training.grad_discriminative_exact(m, V, None, p_y=p_alone) is None
+            assert np.array_equal(p_y, p_alone)
+            results.append((p_y, g, training._regroup_modes(m, V)))
+        # the one-shot kernels, each on the full (n, C, l+1) array
+        assert np.array_equal(results[0][0], model.cond_y_given_v(m, V))
+        assert np.array_equal(results[0][2],
+                              model.marginal_z_posterior(m, V).mode(pool_tail=True))
+        for p_y, g, modes in results[1:]:
+            assert np.array_equal(p_y, results[0][0])
+            assert _same_bundle(g, results[0][1])
+            assert np.array_equal(modes, results[0][2])
+
+    @pytest.mark.parametrize("overrides", [
+        dict(objective="hybrid", alpha=0.01, cd_steps=1),
+        dict(objective="hybrid", alpha=0.5, cd_steps=2, dis_grad="sampled"),
+        dict(objective="discriminative"),
+        dict(objective="generative", cd_steps=1),
+    ])
+    def test_updates(self, monkeypatch, overrides):
+        V, Y = _batch(labeled=True)
+        trainers = []
+        # 1 row everywhere; 7 label rows and whole optimizer blocks; one block
+        for cells in (1, 7 * LABEL_CELLS, 2 ** 40):
+            monkeypatch.setattr(model, "BLOCK_CELLS", cells)
+            trainer = _trainer(True, **overrides)
+            for _ in range(3):
+                trainer.update_step(V, Y)
+            trainers.append(trainer)
+        ref = trainers[-1]
+        for trainer in trainers[:-1]:
+            assert _same_bundle(trainer.params, ref.params)
+            assert _same_bundle(trainer.opt.acc, ref.opt.acc)
+            assert _same_bundle(trainer.opt.vel, ref.opt.vel)
+            assert trainer.regroup.mode_sum == ref.regroup.mode_sum
+
+    @pytest.mark.parametrize("lr_mode", ["adagrad", "decay"])
+    def test_optimizer_and_max_norm(self, monkeypatch, lr_mode):
+        runs = []
+        for rows in (1, 4, 9):
+            monkeypatch.setattr(model, "BLOCK_CELLS", rows * 10)   # D = 10
+            trainer = _trainer(True, lr_mode=lr_mode, w_bound=1.5, u_bound=0.5)
+            rng = np.random.default_rng(23)
+            for _ in range(3):
+                grad = training.Gradients.zeros(trainer.params)
+                for _, arr in grad.blocks():
+                    arr[...] = rng.normal(0.0, 1.0, arr.shape)
+                trainer._apply_gradient(grad)
+                training.max_norm_project(trainer.params, 1.5, 0.5)
+                trainer.opt.t += 1
+            runs.append(trainer)
+        assert np.linalg.norm(runs[0].params.W, axis=1).max() <= 1.5 + 1e-12
+        for trainer in runs[:-1]:
+            assert _same_bundle(trainer.params, runs[-1].params)
+            assert _same_bundle(trainer.opt.acc, runs[-1].opt.acc)
+            assert _same_bundle(trainer.opt.vel, runs[-1].opt.vel)
+
+    def test_nonfinite_gradient_steps_nothing(self, monkeypatch):
+        monkeypatch.setattr(model, "BLOCK_CELLS", 2 * 10)     # 2-row W blocks
+        trainer = _trainer(True)
+        assert len(list(model.row_blocks(*trainer.params.W.shape))) == 5
+        rng = np.random.default_rng(24)
+        grad = training.Gradients.zeros(trainer.params)
+        for _, arr in grad.blocks():
+            arr[...] = rng.normal(0.0, 1.0, arr.shape)
+        trainer._apply_gradient(grad.copy())    # nonzero acc and vel
+        before = [b.copy() for b in (trainer.params, trainer.opt.acc, trainer.opt.vel)]
+        grad.W[-1, -1] = np.nan
+        with pytest.raises(FloatingPointError, match="W"):
+            trainer._apply_gradient(grad)
+        for old, new in zip(before, (trainer.params, trainer.opt.acc, trainer.opt.vel)):
+            assert _same_bundle(old, new)

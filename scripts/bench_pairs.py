@@ -14,8 +14,11 @@ even pairs and the change first in odd ones.
 The JSON file holds the environment, both revisions and every run; per
 workload and end-to-end metric, each side's median and quartiles and the
 pairs the change won (ties count for neither side); and per workload the
-pairs whose final-parameter digests are equal and the operations attempted
-and failed on each side. The markdown table printed at the end is made from
+pairs whose final-parameter digests are equal, the operations attempted
+and failed on each side, and each side's median and quartiles of the
+minor page faults and system CPU seconds of a run. Those two come from
+`getrusage(RUSAGE_CHILDREN)` read before and after each run, so they cover
+the run's process and the import-timing interpreters it starts. The markdown table printed at the end is made from
 that file alone, and `--table` prints it again from a written file.
 
 Standard library only.
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -33,6 +37,7 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+USAGE = {"minor_faults": "minor page faults", "sys_s": "system CPU s"}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -62,18 +67,24 @@ def export(commit: str, dest: Path):
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run; its JSON result plus digest and
-    environment, or an error record when no result line came out."""
+    """One untraced perfbench run; its JSON result plus digest, environment
+    and resource usage, or an error record when no result line came out."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    usage = {"minor_faults": after.ru_minflt - before.ru_minflt,
+             "sys_s": after.ru_stime - before.ru_stime}
     lines = proc.stdout.strip().splitlines()
     try:
         out = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        return {"exit": proc.returncode, "error": proc.stderr.strip()[-2000:]}
+        return {"exit": proc.returncode, "error": proc.stderr.strip()[-2000:],
+                "rusage": usage}
     out["exit"] = proc.returncode
+    out["rusage"] = usage
     out["metrics"] = {k: v["value"] for k, v in out["metrics"].items()}
     for line in lines:
         if line.startswith("perfbench workload="):
@@ -118,6 +129,12 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         out[f"{side}_attempted"] = sum(p[side].get("attempted", 0) for p in pairs)
         out[f"{side}_failed"] = sum(p[side].get("failed", 0) for p in pairs)
         out[f"{side}_runs_without_result"] = sum("metrics" not in p[side] for p in pairs)
+    out["rusage"] = {}
+    for key in USAGE:
+        values = {side: [p[side]["rusage"][key] for p in pairs if "rusage" in p[side]]
+                  for side in SIDES}
+        if all(values.values()):
+            out["rusage"][key] = {side: quartiles(values[side]) for side in SIDES}
     return out
 
 
@@ -135,6 +152,9 @@ def table(record: dict) -> str:
     notes = [f"{w}: digests equal in {s['digests_equal']}/{s['pairs']} pairs, "
              f"failed operations {s['parent_failed']}/{s['parent_attempted']} "
              f"(parent) and {s['change_failed']}/{s['change_attempted']} (change)"
+             + "".join(f"; {USAGE[key]} per run, median {u['parent']['median']:.6g} "
+                       f"(parent) and {u['change']['median']:.6g} (change)"
+                       for key, u in s.get("rusage", {}).items())
              for w, s in record["summary"].items()]
     return "\n".join(rows + [""] + notes)
 

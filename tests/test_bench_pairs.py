@@ -47,3 +47,29 @@ def test_summary_counts_wins_ties_digests_and_failures():
     assert "| w | epoch_s_p50 | 1.000 [0.950, 1.100] | 0.900 [0.850, 1.000] | 2/3 | 0.900 |" in text
     assert "| w | peak_rss_mb | 101.00 [100.50, 101.50] | 99.00 [98.50, 99.50] | 2/3 | 0.980 |" in text
     assert "w: digests equal in 2/4 pairs" in text
+
+
+def test_resource_usage_medians():
+    def run(faults, sys_s, **extra):
+        return dict(_run(1.0, 100.0), rusage={"minor_faults": faults, "sys_s": sys_s},
+                    **extra)
+
+    pairs = [
+        {"parent": run(50_000, 0.15), "change": run(5_000, 0.02)},
+        {"parent": run(54_000, 0.16), "change": run(6_000, 0.03)},
+        {"parent": run(52_000, 0.14),
+         "change": {"exit": 2, "error": "boom", "rusage": {"minor_faults": 7_000,
+                                                           "sys_s": 0.04}}},
+    ]
+    s = bench_pairs.summarize(pairs, METRICS)
+    faults, sys_s = s["rusage"]["minor_faults"], s["rusage"]["sys_s"]
+    assert faults["parent"]["median"] == 52_000
+    assert faults["change"] == {"median": 6_000, "q1": 5_500, "q3": 6_500}
+    assert sys_s["parent"]["median"] == pytest.approx(0.15)
+    text = bench_pairs.table({"summary": {"w": s}})
+    assert ("minor page faults per run, median 52000 (parent) and 6000 (change); "
+            "system CPU s per run, median 0.15 (parent) and 0.03 (change)") in text
+
+    # records written before resource usage was measured still print
+    del s["rusage"]
+    assert "minor page faults" not in bench_pairs.table({"summary": {"w": s}})

@@ -1,3 +1,7 @@
+import io
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -13,15 +17,16 @@ from irbm.sampling import FantasyChains
 from irbm.training import OptimizerState, RegroupState, TrainConfig, Trainer
 
 
-def trained_state(labeled=False, use_pcd=False, epochs=2, seed=31):
+def trained_state(labeled=False, use_pcd=False, epochs=2, seed=31,
+                  penalty_mode="constant"):
     X = random_binary(1, 40, 5)
     Y = (np.arange(40) % 3).astype(int) if labeled else None
     config = TrainConfig(
         objective="hybrid" if labeled else "generative",
         alpha=0.01 if labeled else 0.0, use_pcd=use_pcd, cd_steps=1,
         minibatch_size=10, regroup_mode="fixed", regroup_rho=0.6, seed=seed)
-    trainer = Trainer(zero_model(D=5, C=3 if labeled else 0), config,
-                      n_train=40)
+    trainer = Trainer(zero_model(D=5, C=3 if labeled else 0,
+                                 penalty_mode=penalty_mode), config, n_train=40)
     for _ in range(epochs):
         trainer.run_epoch(X, Y)
     return trainer, config, X, Y
@@ -135,11 +140,65 @@ class TestIntegrity:
             load_checkpoint(path)
 
 
+def snapshot(trainer, config) -> CheckpointData:
+    return CheckpointData(params=trainer.params, opt=trainer.opt,
+                          regroup=trainer.regroup, chains=trainer.chains,
+                          seed=config.seed, epochs_done=trainer.epochs_done)
+
+
+def reference_file(data: CheckpointData) -> bytes:
+    """The v1 file as an in-memory serializer lays it out: the payload built
+    in a BytesIO, then magic, version, crc32, payload length and payload."""
+    p, opt, rg, chains = data.params, data.opt, data.regroup, data.chains
+    buf = io.BytesIO()
+    flags = ((1 if p.U is not None else 0) | (2 if p.penalty.mode == "dynamic" else 0)
+             | (4 if chains is not None else 0)
+             | (8 if chains is not None and chains.y is not None else 0))
+    buf.write(struct.pack("<Bd", flags, p.penalty.beta))
+    buf.write(struct.pack("<III", p.W.shape[1], p.W.shape[0],
+                          0 if p.U is None else p.U.shape[1]))
+    buf.write(struct.pack("<QQI", data.seed, opt.t, data.epochs_done))
+    buf.write(struct.pack("<IBIIdQI", rg.M_t, rg.phase == "adaptive", rg.epoch,
+                          rg.prev_l, rg.mode_sum, rg.mode_count, len(rg.mz_history)))
+    buf.write(np.array(rg.mz_history, dtype="<f8").tobytes())
+    for bundle in (p, opt.acc, opt.vel):
+        for arr in (bundle.W, bundle.b_v, bundle.c, bundle.U, bundle.d):
+            if arr is not None:
+                buf.write(np.asarray(arr, dtype="<f8").tobytes())
+    buf.write(np.asarray(opt.unit_age, dtype="<i8").tobytes())
+    if chains is not None:
+        buf.write(struct.pack("<I", chains.v.shape[0]))
+        buf.write(np.asarray(chains.v, dtype="u1").tobytes())
+        if chains.y is not None:
+            buf.write(np.asarray(chains.y, dtype="<u2").tobytes())
+    payload = buf.getvalue()
+    return (b"IRBM" + struct.pack("<IIQ", 1, zlib.crc32(payload), len(payload))
+            + payload)
+
+
+class TestStreamedSave:
+    """The streamed save writes the bytes of the in-memory v1 layout."""
+
+    @pytest.mark.parametrize("labeled, use_pcd, mode", [
+        (True, True, "dynamic"), (False, False, "constant")])
+    def test_bytes_equal_the_reference_layout(self, tmp_path, labeled, use_pcd, mode):
+        trainer, config, _, _ = trained_state(labeled, use_pcd, penalty_mode=mode)
+        data = snapshot(trainer, config)
+        assert len(data.regroup.mz_history) == 2
+        assert (data.chains is not None) == use_pcd
+        assert data.chains is None or (data.chains.y is not None) == labeled
+        path = tmp_path / "ck.irbm"
+        save_checkpoint(path, data)
+        assert path.read_bytes() == reference_file(data)
+
+
 class TestAtomicSave:
     """A save that fails part way leaves the previous checkpoint in place,
     byte for byte, and no temporary file next to it."""
 
-    def save_then_fail(self, tmp_path, monkeypatch, target, error):
+    def save_then_fail(self, tmp_path, monkeypatch, target, error, after=0):
+        """The patched target raises error on its call number after + 1;
+        the calls before that go through."""
         trainer, config, X, _ = trained_state(epochs=1)
         path = tmp_path / "ck.irbm"
 
@@ -153,13 +212,19 @@ class TestAtomicSave:
         before = path.read_bytes()
         trainer.run_epoch(X)
 
+        original, calls = getattr(*target), []
+
         def fail(*args, **kwargs):
-            raise error
+            calls.append(args)
+            if len(calls) > after:
+                raise error
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(target[0], target[1], fail)
         with pytest.raises(type(error)):
             save_checkpoint(path, data())
         monkeypatch.undo()
+        assert len(calls) == after + 1
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.irbm"]
         back = load_checkpoint(path)
@@ -171,6 +236,14 @@ class TestAtomicSave:
         import irbm.checkpoint as ck
         self.save_then_fail(tmp_path, monkeypatch, (ck, "_write_param_set"),
                             RuntimeError("serialization failed"))
+
+    def test_failure_half_way_through_the_payload(self, tmp_path, monkeypatch):
+        # the unlabeled state writes 11 arrays: the mz history, W, b_v and c
+        # of the parameters, accumulators and velocities, and the unit ages;
+        # the sixth, the accumulators' b_v, fails
+        import irbm.checkpoint as ck
+        self.save_then_fail(tmp_path, monkeypatch, (ck, "_write_array"),
+                            RuntimeError("disk full"), after=5)
 
     def test_failure_after_the_bytes_are_written(self, tmp_path, monkeypatch):
         import irbm.checkpoint as ck

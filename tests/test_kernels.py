@@ -13,7 +13,7 @@ import pytest
 from scipy.special import logsumexp
 
 import oracles
-from conftest import make_model, random_binary
+from conftest import make_model, random_binary, same_bundle
 import irbm.cli as cli
 from irbm import evaluation, model, sampling, training
 from irbm.model import (
@@ -288,12 +288,6 @@ N_ROWS = 20
 LABEL_CELLS = (9 + 1) * 3
 
 
-def _same_bundle(a, b):
-    return all((x is None and y is None) or np.array_equal(x, y)
-               for x, y in zip((a.W, a.b_v, a.c, a.U, a.d),
-                               (b.W, b.b_v, b.c, b.U, b.d)))
-
-
 class TestRowBlocks:
     """Blocking rows keeps every bit: label blocks of 1 row, of 7 rows (not a
     divisor of 20) and of all 20 rows give the same results, and so do
@@ -319,8 +313,26 @@ class TestRowBlocks:
                               model.marginal_z_posterior(m, V).mode(pool_tail=True))
         for p_y, g, modes in results[1:]:
             assert np.array_equal(p_y, results[0][0])
-            assert _same_bundle(g, results[0][1])
+            assert same_bundle(g, results[0][1])
             assert np.array_equal(modes, results[0][2])
+
+    @pytest.mark.parametrize("mode", ["constant", "dynamic"])
+    def test_order_pass(self, monkeypatch, mode):
+        m = make_model(25, D=10, l=9, C=3, scale=2.0, mode=mode)
+        X = random_binary(26, N_ROWS, 10)
+        joint = label_joint_log_weights(m, X)          # the one-shot build
+        zp = model.marginal_z_posterior(m, X, joint=joint)
+        log_pstar = evaluation.log_pstar(m, X, zp=zp)
+        log_cond_y = model.log_cond_y_given_v(m, X, joint=joint)
+        for rows in (1, 7, N_ROWS):
+            monkeypatch.setattr(model, "BLOCK_CELLS", rows * LABEL_CELLS)
+            assert next(model.row_blocks(N_ROWS, LABEL_CELLS)) == slice(0, rows)
+            ev = evaluation.order_pass(m, X)
+            assert np.array_equal(ev.zp.head_log_weights, zp.head_log_weights)
+            assert np.array_equal(ev.zp.tail_log_mass, zp.tail_log_mass)
+            assert np.array_equal(ev.zp.log_norm, zp.log_norm)
+            assert np.array_equal(ev.log_pstar, log_pstar)
+            assert np.array_equal(ev.log_cond_y, log_cond_y)
 
     @pytest.mark.parametrize("overrides", [
         dict(objective="hybrid", alpha=0.01, cd_steps=1),
@@ -340,9 +352,9 @@ class TestRowBlocks:
             trainers.append(trainer)
         ref = trainers[-1]
         for trainer in trainers[:-1]:
-            assert _same_bundle(trainer.params, ref.params)
-            assert _same_bundle(trainer.opt.acc, ref.opt.acc)
-            assert _same_bundle(trainer.opt.vel, ref.opt.vel)
+            assert same_bundle(trainer.params, ref.params)
+            assert same_bundle(trainer.opt.acc, ref.opt.acc)
+            assert same_bundle(trainer.opt.vel, ref.opt.vel)
             assert trainer.regroup.mode_sum == ref.regroup.mode_sum
 
     @pytest.mark.parametrize("lr_mode", ["adagrad", "decay"])
@@ -362,9 +374,9 @@ class TestRowBlocks:
             runs.append(trainer)
         assert np.linalg.norm(runs[0].params.W, axis=1).max() <= 1.5 + 1e-12
         for trainer in runs[:-1]:
-            assert _same_bundle(trainer.params, runs[-1].params)
-            assert _same_bundle(trainer.opt.acc, runs[-1].opt.acc)
-            assert _same_bundle(trainer.opt.vel, runs[-1].opt.vel)
+            assert same_bundle(trainer.params, runs[-1].params)
+            assert same_bundle(trainer.opt.acc, runs[-1].opt.acc)
+            assert same_bundle(trainer.opt.vel, runs[-1].opt.vel)
 
     def test_nonfinite_gradient_steps_nothing(self, monkeypatch):
         monkeypatch.setattr(model, "BLOCK_CELLS", 2 * 10)     # 2-row W blocks
@@ -380,4 +392,4 @@ class TestRowBlocks:
         with pytest.raises(FloatingPointError, match="W"):
             trainer._apply_gradient(grad)
         for old, new in zip(before, (trainer.params, trainer.opt.acc, trainer.opt.vel)):
-            assert _same_bundle(old, new)
+            assert same_bundle(old, new)

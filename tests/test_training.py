@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_model, random_binary
+from conftest import make_model, random_binary, same_bundle
 from irbm.evaluation import (
     exact_cond_loglik,
     exact_generative_gradient,
@@ -17,6 +17,7 @@ from irbm.training import (
     RegroupState,
     TrainConfig,
     Trainer,
+    Workspace,
     current_regroup_length,
     fraction_length,
     grad_discriminative_exact,
@@ -200,6 +201,24 @@ class TestHybridGradient:
         dis, gen = self._parts()
         h = hybrid_gradient(dis, gen, 0.005, "paper")
         assert np.allclose(h.c, 1.005 * dis.c + 0.005 * gen.c)
+
+    @pytest.mark.parametrize("convention", ["paper", "larochelle"])
+    def test_inputs_unchanged_and_mix_bitwise(self, convention):
+        dis, gen = self._parts()
+        before = dis.copy(), gen.copy()
+        alpha = 0.3
+        h = hybrid_gradient(dis, gen, alpha, convention)
+        for name, arr in h.blocks():
+            d, g = getattr(dis, name), getattr(gen, name)
+            assert np.array_equal(d, getattr(before[0], name))
+            assert np.array_equal(g, getattr(before[1], name))
+            mixed = (d * (1.0 + alpha) if convention == "paper" else d) + g * alpha
+            assert np.array_equal(arr, mixed), name
+
+    def test_unknown_convention_rejected(self):
+        dis, gen = self._parts()
+        with pytest.raises(ValueError):
+            hybrid_gradient(dis, gen, 0.1, "other")
 
 
 class TestGrowthRule:
@@ -454,3 +473,111 @@ class TestTrainerDeterminism:
         error, _, _, _ = classification_metrics(trainer.params, X, ds.y)
         assert trainer.params.l >= 2          # growth driven by sampled cutoffs
         assert error < 0.5                    # far below the 5/6 chance level
+
+
+def _nan_bundle(params):
+    g = Gradients.zeros(params)
+    for _, arr in g.blocks():
+        arr.fill(np.nan)
+    return g
+
+
+def _nan_workspace(params) -> Workspace:
+    return Workspace(*(_nan_bundle(params) for _ in range(3)))
+
+
+def _same_state(a: Trainer, b: Trainer) -> bool:
+    same_chains = (a.chains is None and b.chains is None) or (
+        np.array_equal(a.chains.v, b.chains.v)
+        and (a.chains.y is None) == (b.chains.y is None)
+        and (a.chains.y is None or np.array_equal(a.chains.y, b.chains.y)))
+    return (same_bundle(a.params, b.params) and same_bundle(a.opt.acc, b.opt.acc)
+            and same_bundle(a.opt.vel, b.opt.vel)
+            and np.array_equal(a.opt.unit_age, b.opt.unit_age)
+            and a.opt.t == b.opt.t and a.regroup == b.regroup and same_chains)
+
+
+# (model is labeled, penalty mode, config overrides)
+WORKSPACE_CASES = {
+    "generative-cd": (False, "constant", dict(objective="generative", cd_steps=2)),
+    "generative-pcd": (True, "constant", dict(objective="generative", use_pcd=True)),
+    "hybrid-paper": (True, "constant", dict(objective="hybrid", alpha=0.3)),
+    "hybrid-larochelle": (True, "constant", dict(objective="hybrid", alpha=0.3,
+                                                 hybrid_convention="larochelle")),
+    "hybrid-sampled": (True, "constant", dict(objective="hybrid", alpha=0.3,
+                                              dis_grad="sampled", cd_steps=2)),
+    "discriminative": (True, "constant", dict(objective="discriminative")),
+    "dynamic-penalty": (True, "dynamic", dict(objective="hybrid", alpha=0.3)),
+}
+
+
+class TestWorkspace:
+    """Gradient terms written into a workspace, fresh or reused, are the
+    terms of fresh bundles bit for bit."""
+
+    @staticmethod
+    def _trainer(case, start=None):
+        labeled, mode, overrides = WORKSPACE_CASES[case]
+        params = start if start is not None else make_model(
+            60, D=6, l=5, C=3 if labeled else 0, scale=1.5, mode=mode)
+        config = TrainConfig(minibatch_size=8, regroup_mode="fixed",
+                             regroup_rho=0.7, global_lr=0.5, seed=61, **overrides)
+        return Trainer(params.copy(), config, n_train=24)
+
+    @staticmethod
+    def _data(labeled):
+        return random_binary(62, 24, 6), (np.arange(24) % 3 if labeled else None)
+
+    @pytest.mark.parametrize("case", WORKSPACE_CASES)
+    def test_nan_filled_workspace(self, case):
+        labeled = WORKSPACE_CASES[case][0]
+        X, Y = self._data(labeled)
+        filled, fresh = self._trainer(case), self._trainer(case)
+        for i in range(3):
+            rows = slice(8 * i, 8 * i + 8)
+            V, Yb = X[rows], None if Y is None else Y[rows]
+            filled.update_step(V, Yb, _nan_workspace(filled.params))
+            fresh.update_step(V, Yb)
+        assert np.all(np.isfinite(filled.params.W))
+        assert _same_state(filled, fresh)
+
+    @pytest.mark.parametrize("mode", ["constant", "dynamic"])
+    def test_terms_into_nan_bundles(self, mode):
+        m = make_model(63, D=6, l=5, C=3, scale=1.5, mode=mode)
+        V, Y = random_binary(64, 8, 6), np.arange(8) % 3
+        pos = PhaseSamples(v=V, z=np.arange(8) % 7 + 1, y=Y)
+        neg = PhaseSamples(v=random_binary(65, 8, 6), z=np.arange(8)[::-1] % 7 + 1,
+                           y=(Y + 1) % 3)
+        nan = [_nan_bundle(m) for _ in range(2)]
+        assert same_bundle(grad_generative(m, pos, neg, out=nan[0], scratch=nan[1]),
+                            grad_generative(m, pos, neg))
+        nan = [_nan_bundle(m) for _ in range(2)]
+        assert same_bundle(
+            grad_discriminative_sampled(m, V, Y, pos.z, neg, out=nan[0], scratch=nan[1]),
+            grad_discriminative_sampled(m, V, Y, pos.z, neg))
+        unlabeled = [PhaseSamples(v=p.v, z=p.z) for p in (pos, neg)]
+        nan = [_nan_bundle(m) for _ in range(2)]
+        assert same_bundle(grad_generative(m, *unlabeled, out=nan[0], scratch=nan[1]),
+                            grad_generative(m, *unlabeled))
+        out = _nan_bundle(m)
+        assert grad_discriminative_exact(m, V, Y, out=out) is out
+        assert same_bundle(out, grad_discriminative_exact(m, V, Y))
+
+    @pytest.mark.parametrize("case", ["hybrid-paper", "generative-pcd"])
+    def test_epoch_with_growth_equals_bare_updates(self, case):
+        labeled = WORKSPACE_CASES[case][0]
+        X, Y = self._data(labeled)
+        start = zero_model(D=6, C=3 if labeled else 0)
+        epoch, bare = self._trainer(case, start), self._trainer(case, start)
+        epoch.run_epoch(X, Y)
+
+        cfg = bare.config
+        order = stream(cfg.seed, "shuffle", 0).permutation(X.shape[0])
+        grew = []
+        for start_row in range(0, X.shape[0], cfg.minibatch_size):
+            idx = order[start_row:start_row + cfg.minibatch_size]
+            grew.append(bare.update_step(X[idx], None if Y is None else Y[idx])["grew"])
+        regroup_schedule_update(bare.regroup, bare.params.l, cfg)
+        bare.epochs_done += 1
+        assert any(grew[:-1])           # the pool grew before the last update
+        assert _same_state(epoch, bare)

@@ -36,7 +36,6 @@ from .model import (
     block_rows,
     free_energy,
     label_blocks,
-    log_cond_y_given_v,
     log_sum_exp,
     marginal_z_posterior,
     unit_inputs,
@@ -322,21 +321,20 @@ class OrderPass:
 def order_pass(params: ModelParams, X) -> OrderPass:
     """One `unit_inputs` pass over X and, for labeled models, one build of
     the label weights over the row blocks of `model.label_blocks`: each
-    block is reduced to its rows of the marginal posterior and of
-    log p(y | v) and dropped, so no (n, C, l+1) array is built."""
+    block is reduced to its rows of the marginal posterior's head and tail
+    and of log p(y | v) and dropped, so no (n, C, l+1) array is built."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if not params.has_labels:
         zp = marginal_z_posterior(params, X)
         return OrderPass(params, zp, log_pstar(params, X, zp=zp), None)
     n = X.shape[0]
-    zp = ZPosterior(np.empty((n, params.l + 1)), np.empty(n), np.empty(n))
+    zp = ZPosterior(np.empty((n, params.l + 1)), np.empty(n))
     log_cond_y = np.empty((n, params.C))
     for rows, joint in label_blocks(params, X, unit_inputs(params, X)):
-        block = marginal_z_posterior(params, X[rows], joint=joint)
+        block = joint.over_labels()
         zp.head_log_weights[rows] = block.head_log_weights
         zp.tail_log_mass[rows] = block.tail_log_mass
-        zp.log_norm[rows] = block.log_norm
-        log_cond_y[rows] = log_cond_y_given_v(params, X[rows], joint=joint)
+        log_cond_y[rows] = joint.log_label_probs()
     return OrderPass(params, zp, log_pstar(params, X, zp=zp), log_cond_y)
 
 

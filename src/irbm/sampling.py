@@ -103,25 +103,24 @@ def draw_v(params: ModelParams, H, rng) -> np.ndarray:
     return (rng.random(means.shape) < means).astype(np.float64)
 
 
-def draw_y(params: ModelParams, H, rng) -> np.ndarray:
-    """y ~ p(y | h, z) for each row."""
-    logits = params.d + H[:, :params.l] @ params.U
+def _softmax_rows(logits, rng) -> np.ndarray:
+    """One class per row of logits (n, C), drawn from its softmax."""
     logits = logits - logits.max(axis=1, keepdims=True)
     p = np.exp(logits)
     p /= p.sum(axis=1, keepdims=True)
     return categorical_rows(p, rng)
+
+
+def draw_y(params: ModelParams, H, rng) -> np.ndarray:
+    """y ~ p(y | h, z) for each row."""
+    return _softmax_rows(params.d + H[:, :params.l] @ params.U, rng)
 
 
 def draw_y_given_vz(params: ModelParams, V, Z, rng, *, A=None) -> np.ndarray:
     """y ~ p(y | v, z) for each row (the label step of the clamped chain).
     A, when given, is the label-free unit_inputs(params, V)."""
-    logw, _ = label_joint_log_weights(params, V, A=A)
-    idx = (np.asarray(Z) - 1)[:, None, None]
-    logits = np.take_along_axis(logw, idx, axis=2)[:, :, 0]
-    logits = logits - logits.max(axis=1, keepdims=True)
-    p = np.exp(logits)
-    p /= p.sum(axis=1, keepdims=True)
-    return categorical_rows(p, rng)
+    head = label_joint_log_weights(params, V, A=A).head_log_weights
+    return _softmax_rows(head[np.arange(head.shape[0]), :, np.asarray(Z) - 1], rng)
 
 
 def gibbs_sweep(params: ModelParams, V, Y, rng, *, A=None):

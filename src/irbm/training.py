@@ -20,11 +20,12 @@ The label pass (`grad_discriminative_exact`) builds the per-class weights
 of `model.label_joint_log_weights` once per batch, block by block over
 cache-sized row blocks (`model.row_blocks`), and each block is read by both
 the positive label draw, through p(y | v), and the exact discriminative
-gradient; the regroup statistic of a labeled model goes through the same
-blocks. No (n, C, l+1) array lives for a whole update. The optimizer step
-and the max-norm projection also run in row blocks. Every GEMM and every
-sum over the examples of a batch runs on the full arrays, so the blocking
-moves no bit.
+gradient. The regroup statistic, the tail-pooled mode of
+`model.marginal_z_posterior`, runs over the same blocks for a labeled model.
+No (n, C, l+1) array lives for a whole update. The optimizer step and the
+max-norm projection also run in row blocks. Every GEMM and every sum over
+the examples of a batch runs on the full arrays, so the blocking moves no
+bit.
 
 Epoch workspace. The gradient terms of an update are written in place into
 the three bundles of a `Workspace`, each shaped like the parameters: `dis`
@@ -62,11 +63,9 @@ from .model import (
     ModelParams,
     ParamBundle,
     label_blocks,
-    log_sum_exp,
     marginal_z_posterior,
     permute_units,
     row_blocks,
-    suffix_probs,
     unit_inputs,
     with_label_inputs,
 )
@@ -232,7 +231,7 @@ def grad_discriminative_exact(params: ModelParams, V, Y, *, A=None,
     label-free unit_inputs(params, V).
 
     This is the trainer's one label pass over a batch. It builds the
-    per-class weights block by block (`_label_blocks`) and reduces each
+    per-class weights block by block (`model.label_blocks`) and reduces each
     block to its rows of p(y | v) and of the gradient's per-example terms;
     the GEMM and the sums over examples then run once on the full arrays.
     p_y, when given, is an (n, C) array that receives p(y | v), which the
@@ -257,14 +256,13 @@ def grad_discriminative_exact(params: ModelParams, V, Y, *, A=None,
         R = np.empty((n, C, l))
         Q = np.empty((n, l))
         Pg_diff = np.empty((n, l)) if dynamic else None
-    for rows, (logw, tail) in label_blocks(params, V, A):
-        log_norm = log_sum_exp(logw, tail)                   # -F(y|v)
+    for rows, joint in label_blocks(params, V, A):
         p = p_y[rows]
-        np.exp(log_norm - log_sum_exp(log_norm)[:, None], out=p)
+        np.exp(joint.log_label_probs(), out=p)
         if Y is None:
             continue
-        P_geq = suffix_probs(logw, tail, log_norm)[..., :l]  # (rows, C, l)
-        del logw
+        P_geq = joint.p_z_geq()[..., :l]                     # (rows, C, l)
+        del joint
         Rb = R[rows]
         np.multiply(P_geq, expit(A[rows, None, :] + params.U.T[None, :, :]),
                     out=Rb)
@@ -483,18 +481,6 @@ def _step_blocks(grad: Gradients):
             yield name, slice(None)
 
 
-def _regroup_modes(params: ModelParams, V) -> np.ndarray:
-    """Tail-pooled modes of the marginal p(z | v) of the batch, the regroup
-    statistic; a labeled model's goes through the label row blocks."""
-    if not params.has_labels:
-        return marginal_z_posterior(params, V).mode(pool_tail=True)
-    modes = np.empty(V.shape[0], dtype=np.int64)
-    for rows, joint in label_blocks(params, V, unit_inputs(params, V)):
-        modes[rows] = marginal_z_posterior(params, V[rows],
-                                           joint=joint).mode(pool_tail=True)
-    return modes
-
-
 class Trainer:
     """Owns one model plus its optimizer, regroup and chain state.
 
@@ -531,9 +517,14 @@ class Trainer:
     def restore(self, opt: OptimizerState, regroup: RegroupState,
                 chains: FantasyChains | None, epochs_done: int):
         """Adopt state loaded from a checkpoint; the same config and seed
-        then continue the original trajectory bit for bit."""
+        then continue the original trajectory bit for bit. It must hold
+        chains if and only if use_pcd is set, and then n_chains of them."""
         if opt.unit_age.shape[0] != self.params.l:
             raise ValueError("optimizer state does not match the model size")
+        have, want = (0 if c is None else c.n_chains for c in (chains, self.chains))
+        if have != want:
+            raise ValueError(f"PCD chains: checkpoint holds {have}, config "
+                             f"(use_pcd={self.config.use_pcd}) gives {want}")
         self.opt = opt
         self.regroup = regroup
         self.chains = chains
@@ -686,7 +677,8 @@ class Trainer:
         max_norm_project(params, cfg.w_bound, cfg.u_bound)
 
         # the regroup statistic reads the stepped model before it grows
-        self.regroup.record_modes(_regroup_modes(params, V))
+        self.regroup.record_modes(
+            marginal_z_posterior(params, V).mode(pool_tail=True))
         grew = growth_decision(z_pos_max, z_neg_max, l_before)
         if grew:
             _grow_by_one(params, self.opt, work)

@@ -1,12 +1,14 @@
 """The summary and table of scripts/bench_pairs.py, on hand-built runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location(
-    "bench_pairs", Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py")
+    "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
@@ -73,3 +75,22 @@ def test_resource_usage_medians():
     # records written before resource usage was measured still print
     del s["rusage"]
     assert "minor page faults" not in bench_pairs.table({"summary": {"w": s}})
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")),
+                         ids=lambda p: p.name)
+def test_committed_record_reproduces_its_summary(path):
+    """Every committed record's summary follows from its own runs under the
+    benchmark's end-to-end metrics, its table renders, and the final
+    parameters agree in every pair that has a result."""
+    record = json.loads(path.read_text())
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert record["summary"].keys() == record["runs"].keys()
+    for workload, pairs in record["runs"].items():
+        got = bench_pairs.summarize(pairs, end_to_end)
+        want = record["summary"][workload]
+        assert got["metrics"] == want["metrics"]
+        for key in ("digests_equal", "parent_failed", "change_failed"):
+            assert got[key] == want[key], (workload, key)
+        assert got["digests_equal"] == got["pairs_with_results"], workload
+    assert bench_pairs.table(record)

@@ -123,6 +123,35 @@ class TestTrain:
         assert "checkpoint model has" in capsys.readouterr().err
         assert (out / "checkpoint.irbm").read_bytes() == before
 
+    @pytest.mark.parametrize("saved, resumed", [
+        ([], ["use_pcd=true"]),                           # CD checkpoint, PCD config
+        (["use_pcd=true"], []),                           # PCD checkpoint, CD config
+        (["use_pcd=true"], ["use_pcd=true", "n_chains=10"]),    # 20 chains, 10 asked
+    ])
+    def test_chain_mismatch_on_resume_rejected(self, tmp_path, capsys, saved, resumed):
+        def train(out, epochs, settings, *extra):
+            sets = [a for s in ["minibatch_size=20", "seed=5", *settings]
+                    for a in ("--set", s)]
+            return run(["train", "--dataset", "bars:side=3,n=60,seed=1",
+                        "--out-dir", out, "--epochs", epochs, *sets, *extra])
+
+        straight, out = tmp_path / "straight", tmp_path / "run"
+        assert train(straight, 2, saved) == 0
+        assert train(out, 1, saved) == 0
+        files = ("checkpoint.irbm", "metrics.csv")
+        before = [(out / name).read_bytes() for name in files]
+        capsys.readouterr()
+        resume = ("--resume", out / "checkpoint.irbm")
+        assert train(out, 2, resumed, *resume) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: PCD chains: checkpoint holds ")
+        assert "Traceback" not in err
+        assert [(out / name).read_bytes() for name in files] == before
+        # the matching config still continues the trajectory bit for bit
+        assert train(out, 2, saved, *resume) == 0
+        for name in files:
+            assert (out / name).read_bytes() == (straight / name).read_bytes()
+
     def test_label_mismatch_on_resume_rejected(self, tmp_path, capsys):
         write_class_sets(tmp_path)
         out = tmp_path / "run"

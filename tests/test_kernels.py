@@ -102,9 +102,10 @@ class TestKernelAgreement:
     def test_label_weights_match_scipy_forms(self, C, l):
         m = make_model(5, D=6, l=l, C=C, scale=40.0)
         V = random_binary(5, 9, 6)
-        logw, tail = label_joint_log_weights(m, V)
+        joint = label_joint_log_weights(m, V)
+        logw, tail = joint.head_log_weights, joint.tail_log_mass
         want = np.logaddexp(logsumexp(logw, axis=-1), tail)
-        assert np.max(np.abs(model.label_log_weights(m, V) - want)) <= TOL
+        assert np.max(np.abs(joint.log_norm - want)) <= TOL
         marg = model.marginal_z_posterior(m, V)
         head = logsumexp(logw, axis=1)
         assert np.max(np.abs(marg.head_log_weights - head)) <= TOL
@@ -135,7 +136,7 @@ class TestZSampler:
 
 # -- the shared activation pass -------------------------------------------------
 
-SHARED_KWARGS = ("A", "joint", "zp", "ev")
+SHARED_KWARGS = ("A", "zp", "ev")
 MODULES = (model, sampling, training, evaluation)
 
 
@@ -274,7 +275,9 @@ class TestOrderPasses:
     @pytest.mark.parametrize("labeled", [False, True])
     def test_invariance_builds_one_posterior_per_ordering(self, monkeypatch, labeled):
         params, X, _ = self._data(labeled)
-        posteriors = _count_calls(monkeypatch, "marginal_z_posterior")
+        # a labeled model's posterior is built from its label weights
+        posteriors = _count_calls(monkeypatch, "label_joint_log_weights" if labeled
+                                  else "marginal_z_posterior")
         evaluation.check_order_invariance(params, X, m=3, n_perms=3,
                                           rng=stream(18, "inv"))
         assert posteriors["rows"].count(self.N) == 3
@@ -306,11 +309,13 @@ class TestRowBlocks:
             g = training.grad_discriminative_exact(m, V, Y, p_y=p_y)
             assert training.grad_discriminative_exact(m, V, None, p_y=p_alone) is None
             assert np.array_equal(p_y, p_alone)
-            results.append((p_y, g, training._regroup_modes(m, V)))
-        # the one-shot kernels, each on the full (n, C, l+1) array
+            modes = model.marginal_z_posterior(m, V).mode(pool_tail=True)
+            results.append((p_y, g, modes))
+        # the one-shot build of the full (n, C, l+1) array
+        joint = label_joint_log_weights(m, V)
+        assert np.array_equal(results[0][0], np.exp(joint.log_label_probs()))
         assert np.array_equal(results[0][0], model.cond_y_given_v(m, V))
-        assert np.array_equal(results[0][2],
-                              model.marginal_z_posterior(m, V).mode(pool_tail=True))
+        assert np.array_equal(results[0][2], joint.over_labels().mode(pool_tail=True))
         for p_y, g, modes in results[1:]:
             assert np.array_equal(p_y, results[0][0])
             assert same_bundle(g, results[0][1])
@@ -321,9 +326,9 @@ class TestRowBlocks:
         m = make_model(25, D=10, l=9, C=3, scale=2.0, mode=mode)
         X = random_binary(26, N_ROWS, 10)
         joint = label_joint_log_weights(m, X)          # the one-shot build
-        zp = model.marginal_z_posterior(m, X, joint=joint)
+        zp = joint.over_labels()
         log_pstar = evaluation.log_pstar(m, X, zp=zp)
-        log_cond_y = model.log_cond_y_given_v(m, X, joint=joint)
+        log_cond_y = joint.log_label_probs()
         for rows in (1, 7, N_ROWS):
             monkeypatch.setattr(model, "BLOCK_CELLS", rows * LABEL_CELLS)
             assert next(model.row_blocks(N_ROWS, LABEL_CELLS)) == slice(0, rows)

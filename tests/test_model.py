@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.special import expit, softmax
 
 import oracles
 from conftest import make_model, random_binary
+from irbm import model
 from irbm.model import (
     LN2,
     ModelParams,
@@ -76,7 +78,7 @@ class TestFreeEnergy:
         # label_joint_log_weights holds -G(y, z | v) for z = 1..l+1
         m = make_model(12, D=4, l=3, C=2)
         v = np.array([1.0, 0.0, 1.0, 1.0])
-        logw, _ = label_joint_log_weights(m, v[None])
+        logw = label_joint_log_weights(m, v[None]).head_log_weights
         for y in (0, 1):
             for z in (1, 3, 4):
                 want = free_energy(m, v, z, y=y) + float(v @ m.b_v)
@@ -196,6 +198,10 @@ class TestConditionals:
         m = zero_model(D=3, C=5)
         assert np.allclose(cond_y_given_v(m, np.ones(3)), 0.2)
 
+    def test_label_posterior_needs_label_units(self):
+        with pytest.raises(ValueError, match="no label weights"):
+            cond_y_given_v(make_model(34, D=4, l=3), np.ones(4))
+
     def test_label_posterior_sums_to_one(self):
         m = make_model(35, D=4, l=3, C=3)
         p = cond_y_given_v(m, random_binary(8, 6, 4))
@@ -212,7 +218,7 @@ class TestConditionals:
         m = make_model(37, D=4, l=3, C=3)
         v = np.array([0.0, 1.0, 1.0, 0.0])
         vb = float(v @ m.b_v)
-        logw, _ = label_joint_log_weights(m, v[None])
+        logw = label_joint_log_weights(m, v[None]).head_log_weights
         for z in (1, 2, 4):
             got = softmax(logw[0, :, z - 1])
             logits = np.array([-(oracles.free_energy_by_loops(m, v, z, y) - vb)
@@ -314,6 +320,34 @@ class TestMarginalZPosterior:
         want = joint_head / total
         want[-1] += joint_tail / total
         assert np.allclose(marg, want, atol=1e-12)
+
+    def test_labeled_batch_stays_within_its_memory_budget(self):
+        # one (n, C, l+1) array of this batch would take 32 MB
+        m = make_model(63, D=20, l=200, C=10)
+        V = random_binary(12, 2000, 20)
+        tracemalloc.start()
+        try:
+            marginal_z_posterior(m, V)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    def test_labeled_marginal_never_normalizes_the_classes(self, monkeypatch):
+        m = make_model(64, D=6, l=5, C=3)
+        built = []
+
+        def recording(*args, **kwargs):
+            built.append(label_joint_log_weights(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(model, "label_joint_log_weights", recording)
+        marginal_z_posterior(m, random_binary(13, 30, 6))
+        marginal_z_posterior(m, random_binary(14, 1, 6)[0])
+        assert len(built) == 2
+        for post in built:
+            assert post.head_log_weights.shape[1:] == (3, 6)
+            assert "log_norm" not in vars(post)
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,7 +3,8 @@
 
 Trains one generative model per (seed, rho) on bars-and-stripes data and
 prints the pool size per epoch, averaged over seeds. rho = 0 is the
-no-regrouping baseline.
+no-regrouping baseline. Each run is scripts/rp_speedup.py's `run`: the bars
+protocol of acceptance criteria 6 and 7, without the exact evaluations.
 
     python scripts/regroup_rate_sweep.py --rhos 0 0.3 0.5 0.7 0.8 --epochs 20
 """
@@ -13,48 +14,22 @@ import sys
 
 import numpy as np
 
-from irbm.datasets import synth_bars_and_stripes
-from irbm.model import zero_model
-from irbm.training import TrainConfig, Trainer
-
-
-def run(seed, rho, args):
-    data = synth_bars_and_stripes(args.side, args.n_train, seed=seed)
-    config = TrainConfig(
-        objective="generative", lr_mode="adagrad", global_lr=args.lr,
-        cd_steps=args.cd_steps, minibatch_size=args.minibatch,
-        l1_weight=args.l1,
-        regroup_mode="off" if rho == 0 else "fixed", regroup_rho=rho,
-        seed=seed)
-    trainer = Trainer(zero_model(D=args.side ** 2, beta=args.beta), config,
-                      n_train=data.n)
-    sizes = []
-    X = data.X.astype(float)
-    for _ in range(args.epochs):
-        trainer.run_epoch(X)
-        sizes.append(trainer.params.l)
-    return sizes
+from rp_speedup import add_protocol_flags, protocol, run
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rhos", type=float, nargs="+",
                         default=[0.0, 0.3, 0.5, 0.7, 0.8])
-    parser.add_argument("--seeds", type=int, default=5)
+    add_protocol_flags(parser)
     parser.add_argument("--epochs", type=int, default=20)
-    parser.add_argument("--side", type=int, default=4)
-    parser.add_argument("--n-train", type=int, default=300)
-    parser.add_argument("--minibatch", type=int, default=100)
-    parser.add_argument("--lr", type=float, default=0.05)
-    parser.add_argument("--cd-steps", type=int, default=3)
-    parser.add_argument("--l1", type=float, default=1e-3)
-    parser.add_argument("--beta", type=float, default=1.05)
     parser.add_argument("--csv", help="write the averaged curves here")
     args = parser.parse_args(argv)
 
     curves = {}
     for rho in args.rhos:
-        runs = np.array([run(seed, rho, args) for seed in range(args.seeds)])
+        runs = np.array([run(seed, rho, args.epochs, **protocol(args)).sizes
+                         for seed in range(args.seeds)])
         curves[rho] = runs.mean(axis=0)
         print(f"rho={rho:.1f}: final l = {curves[rho][-1]:.1f} "
               f"(mean over {args.seeds} seeds)")

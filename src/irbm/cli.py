@@ -48,7 +48,6 @@ class RunConfig:
     eval_every: int = 50
     checkpoint_every: int = 0          # additionally keep every k'th epoch
     metrics_subsample: int = 2048
-    n_perms: int = 5
     exact_cap: int = EXACT_D_CAP
     ais_temps: int = 1000
     ais_chains: int = 100
@@ -64,6 +63,14 @@ class RunConfig:
             raise ValueError("epochs must be >= 1")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0 (0: only the latest)")
+        if self.metrics_subsample < 1:
+            raise ValueError("metrics_subsample must be >= 1")
+        if self.ais_temps < 2:
+            raise ValueError("ais_temps must be >= 2")
+        if self.ais_chains < 1:
+            raise ValueError("ais_chains must be >= 1")
         if self.penalty_mode not in ("constant", "dynamic"):
             raise ValueError("penalty_mode must be 'constant' or 'dynamic'")
         if self.beta <= 1.0:
@@ -701,7 +708,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

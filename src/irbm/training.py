@@ -120,6 +120,8 @@ class TrainConfig:
             raise ValueError("alpha must be >= 0")
         if self.global_lr <= 0 or self.lr_half_life <= 0:
             raise ValueError("learning rate and half life must be positive")
+        if not self.adagrad_eps > 0:
+            raise ValueError("adagrad_eps must be positive")
         if self.cd_steps < 1:
             raise ValueError("cd_steps must be >= 1")
         if self.l1_weight < 0 or self.l2_weight < 0:

@@ -7,6 +7,7 @@ found under $IRBM_MNIST_DIR or ./data/mnist and otherwise falls back to the
 bundled scikit-learn digits corpus with the same protocol and error bar.
 """
 
+import importlib.util
 import math
 import os
 import time
@@ -18,7 +19,7 @@ import pytest
 import oracles
 from baseline import PlainTrainer
 from conftest import make_model, random_binary
-from irbm.datasets import binarize_stochastic, load_mnist_idx, synth_bars_and_stripes
+from irbm.datasets import binarize_stochastic, load_mnist_idx
 from irbm.evaluation import (
     ais_log_partition,
     check_order_invariance,
@@ -38,8 +39,6 @@ from irbm.training import (
     grad_discriminative_exact,
     grad_discriminative_sampled,
 )
-
-EXACT_CAP = 16   # 4x4 grids need the full 2^16 enumeration
 
 
 def criterion(number, name, ok, detail=""):
@@ -201,37 +200,17 @@ def test_criterion_5_ais_accuracy():
 BARS_EPOCHS = 50
 BARS_THRESHOLD = -7.0
 
-
-def _train_bars(seed: int, rho: float) -> dict:
-    train = synth_bars_and_stripes(4, 300, seed=seed)
-    test = synth_bars_and_stripes(4, 200, seed=seed + 1000)
-    X = train.X.astype(np.float64)
-    Xt = test.X.astype(np.float64)
-    config = TrainConfig(
-        objective="generative", lr_mode="adagrad", global_lr=0.05,
-        cd_steps=3, minibatch_size=100, l1_weight=1e-3,
-        regroup_mode="off" if rho == 0 else "fixed", regroup_rho=rho,
-        seed=seed)
-    trainer = Trainer(zero_model(D=16, beta=1.05), config, n_train=300)
-    init_ll = exact_loglik(trainer.params, Xt, cap=EXACT_CAP)
-    crossing = None
-    for epoch in range(BARS_EPOCHS):
-        trainer.run_epoch(X)
-        if crossing is None:
-            if exact_loglik(trainer.params, Xt, cap=EXACT_CAP) > BARS_THRESHOLD:
-                crossing = epoch + 1
-    final_ll = exact_loglik(trainer.params, Xt, cap=EXACT_CAP)
-    return {"l": trainer.params.l, "init": init_ll, "final": final_ll,
-            "crossing": crossing}
+_spec = importlib.util.spec_from_file_location(
+    "rp_speedup", Path(__file__).resolve().parents[1] / "scripts" / "rp_speedup.py")
+rp_speedup = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(rp_speedup)
 
 
 @pytest.fixture(scope="module")
 def bars_runs():
-    out = {}
-    for seed in range(5):
-        for rho in (0.0, 0.7):
-            out[(seed, rho)] = _train_bars(seed, rho)
-    return out
+    return {(seed, rho): rp_speedup.run(seed, rho, BARS_EPOCHS,
+                                        threshold=BARS_THRESHOLD)
+            for seed in range(5) for rho in (0.0, 0.7)}
 
 
 def test_criterion_6_growth_and_regroup(bars_runs):
@@ -239,22 +218,22 @@ def test_criterion_6_growth_and_regroup(bars_runs):
     for seed in range(5):
         off = bars_runs[(seed, 0.0)]
         rp = bars_runs[(seed, 0.7)]
-        if off["l"] < 4 or rp["l"] < 4:
+        if off.sizes[-1] < 4 or rp.sizes[-1] < 4:
             problems.append(f"seed {seed}: pool stayed at "
-                            f"{off['l']}/{rp['l']} units")
+                            f"{off.sizes[-1]}/{rp.sizes[-1]} units")
         for name, run in (("off", off), ("rp", rp)):
-            if run["final"] - run["init"] < 1.0:
+            if run.final - run.init < 1.0:
                 problems.append(f"seed {seed} {name}: gain "
-                                f"{run['final'] - run['init']:.2f} nats")
+                                f"{run.final - run.init:.2f} nats")
     # qualitative size comparison across the 5 seeds: median final pool size
     # with regrouping within 50% of the regroup-off median
-    med_off = float(np.median([bars_runs[(s, 0.0)]["l"] for s in range(5)]))
-    med_rp = float(np.median([bars_runs[(s, 0.7)]["l"] for s in range(5)]))
+    med_off = float(np.median([bars_runs[(s, 0.0)].sizes[-1] for s in range(5)]))
+    med_rp = float(np.median([bars_runs[(s, 0.7)].sizes[-1] for s in range(5)]))
     ratio = abs(med_rp - med_off) / med_off
     if ratio >= 0.5:
         problems.append(f"median size ratio {ratio:.2f} "
                         f"(off {med_off}, rp {med_rp})")
-    sizes = [(bars_runs[(s, 0.0)]["l"], bars_runs[(s, 0.7)]["l"])
+    sizes = [(bars_runs[(s, 0.0)].sizes[-1], bars_runs[(s, 0.7)].sizes[-1])
              for s in range(5)]
     criterion(6, "growth and regroup", not problems,
               "; ".join(problems) if problems else
@@ -262,11 +241,10 @@ def test_criterion_6_growth_and_regroup(bars_runs):
 
 
 def test_criterion_7_rp_convergence_report(bars_runs):
-    censored = BARS_EPOCHS + 1
-    off = [bars_runs[(s, 0.0)]["crossing"] or censored for s in range(5)]
-    rp = [bars_runs[(s, 0.7)]["crossing"] or censored for s in range(5)]
-    med_off = float(np.median(off))
-    med_rp = float(np.median(rp))
+    off, med_off = rp_speedup.epochs_to_cross(
+        [bars_runs[(s, 0.0)].crossing for s in range(5)], BARS_EPOCHS)
+    rp, med_rp = rp_speedup.epochs_to_cross(
+        [bars_runs[(s, 0.7)].crossing for s in range(5)], BARS_EPOCHS)
     verdict = ("RP faster" if med_rp < med_off else
                "tie" if med_rp == med_off else "INVERTED (RP slower)")
     detail = (f"epochs to {BARS_THRESHOLD} nats: off {off} (median {med_off}), "

@@ -251,6 +251,32 @@ class TestRunConfig:
         assert config.train.momentum_ramp_updates is None
         assert config.train.n_chains == 25
 
+    def test_dropped_n_perms_key_rejected(self):
+        with pytest.raises(ValueError, match="n_perms"):
+            build_run_config(None, ["n_perms=5"])
+
+    @pytest.mark.parametrize("setting", [
+        "metrics_subsample=0", "checkpoint_every=-2", "ais_temps=1",
+        "ais_chains=0", "adagrad_eps=0", "adagrad_eps=nan"])
+    def test_bad_setting_rejected_before_any_epoch(self, tmp_path, capsys, setting):
+        out = tmp_path / "run"
+        code = run(["train", "--dataset", "bars:side=3,n=60,seed=1",
+                    "--out-dir", out, "--epochs", 2, "--set", setting])
+        assert code == 1
+        assert f"error: {setting.split('=')[0]} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_floating_point_failure_is_a_runtime_error(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def overflow(self, X, Y=None):
+            raise FloatingPointError("non-finite entries in block W")
+
+        monkeypatch.setattr(Trainer, "run_epoch", overflow)
+        code = run(["train", "--dataset", "bars:side=3,n=60,seed=1",
+                    "--out-dir", tmp_path / "run", "--epochs", 1])
+        assert code == 2
+        assert capsys.readouterr().err == "error: non-finite entries in block W\n"
+
 
 class TestEval:
     def test_json_report_schema(self, tmp_path, capsys):

@@ -17,9 +17,17 @@ import numpy as np
 from rp_speedup import add_protocol_flags, protocol, run
 
 
+def swept_fraction(text):
+    """A --rhos value: a regroup fraction in [0, 0.9], 0 meaning no regrouping."""
+    rho = float(text)
+    if not 0 <= rho <= 0.9:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 0.9], got {text}")
+    return rho
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--rhos", type=float, nargs="+",
+    parser.add_argument("--rhos", type=swept_fraction, nargs="+",
                         default=[0.0, 0.3, 0.5, 0.7, 0.8])
     add_protocol_flags(parser)
     parser.add_argument("--epochs", type=int, default=20)

@@ -16,12 +16,14 @@ layout an in-memory payload gave. The load still reads the whole payload
 into one buffer and checks its crc before parsing any of it, so a corrupt
 file never reaches the parser; a streamed load raised the peak RSS and the
 page faults of the AIS evaluation workload, which loads once per episode.
+The parser then walks the verified payload with an offset cursor and copies
+each array once, straight out of it (`np.frombuffer(...).copy()`), with no
+intermediate bytes object per array.
 """
 
 from __future__ import annotations
 
 import contextlib
-import io
 import os
 import struct
 import zlib
@@ -70,13 +72,34 @@ def _write_array(buf, arr, dtype):
     buf.write(np.ascontiguousarray(arr, dtype=dtype))
 
 
-def _read_array(buf, count, dtype, shape=None):
-    dtype = np.dtype(dtype)
-    raw = buf.read(count * dtype.itemsize)
-    if len(raw) != count * dtype.itemsize:
-        raise CheckpointError("checkpoint payload ends early")
-    arr = np.frombuffer(raw, dtype=dtype).copy()
-    return arr.reshape(shape) if shape is not None else arr
+class _PayloadReader:
+    """Parses a verified payload front to back from an offset cursor."""
+
+    def __init__(self, payload: bytes):
+        self.payload, self.offset = payload, 0
+
+    def _advance(self, size: int) -> int:
+        """The cursor's offset, after moving the cursor past size bytes."""
+        start = self.offset
+        if start + size > len(self.payload):
+            raise CheckpointError("checkpoint payload ends early")
+        self.offset += size
+        return start
+
+    def unpack(self, fmt):
+        return struct.unpack_from(fmt, self.payload,
+                                  self._advance(struct.calcsize(fmt)))
+
+    def array(self, count, dtype, shape=None):
+        """The next count items as a new array: one copy out of the payload."""
+        dtype = np.dtype(dtype)
+        start = self._advance(count * dtype.itemsize)
+        arr = np.frombuffer(self.payload, dtype, count, start).copy()
+        return arr.reshape(shape) if shape is not None else arr
+
+    def check_end(self):
+        if self.offset != len(self.payload):
+            raise CheckpointError("trailing bytes in checkpoint payload")
 
 
 def _write_param_set(buf, g: ParamBundle):
@@ -84,12 +107,12 @@ def _write_param_set(buf, g: ParamBundle):
         _write_array(buf, arr, "<f8")
 
 
-def _read_param_set(buf, l, D, C):
-    W = _read_array(buf, l * D, "<f8", (l, D))
-    b_v = _read_array(buf, D, "<f8")
-    c = _read_array(buf, l, "<f8")
-    U = _read_array(buf, l * C, "<f8", (l, C)) if C else None
-    d = _read_array(buf, C, "<f8") if C else None
+def _read_param_set(buf: _PayloadReader, l, D, C):
+    W = buf.array(l * D, "<f8", (l, D))
+    b_v = buf.array(D, "<f8")
+    c = buf.array(l, "<f8")
+    U = buf.array(l * C, "<f8", (l, C)) if C else None
+    d = buf.array(C, "<f8") if C else None
     return W, b_v, c, U, d
 
 
@@ -153,33 +176,24 @@ def load_checkpoint(path) -> CheckpointData:
     if len(payload) != length or zlib.crc32(payload) != crc:
         raise CheckpointError("checkpoint payload fails its integrity check")
 
-    buf = io.BytesIO(payload)
-
-    def unpack(fmt):
-        size = struct.calcsize(fmt)
-        raw = buf.read(size)
-        if len(raw) != size:
-            raise CheckpointError("checkpoint payload ends early")
-        return struct.unpack(fmt, raw)
-
-    flags, beta = unpack("<Bd")
-    D, l, C = unpack("<III")
-    seed, t, epochs_done = unpack("<QQI")
-    m_t, phase, epoch, prev_l, mode_sum, mode_count, n_hist = unpack("<IBIIdQI")
-    mz_history = list(_read_array(buf, n_hist, "<f8"))
+    buf = _PayloadReader(payload)
+    flags, beta = buf.unpack("<Bd")
+    D, l, C = buf.unpack("<III")
+    seed, t, epochs_done = buf.unpack("<QQI")
+    m_t, phase, epoch, prev_l, mode_sum, mode_count, n_hist = buf.unpack("<IBIIdQI")
+    mz_history = list(buf.array(n_hist, "<f8"))
     penalty = PenaltyConfig(beta=beta, mode="dynamic" if flags & 2 else "constant")
     params = ModelParams(*_read_param_set(buf, l, D, C), penalty=penalty)
     acc = ParamBundle(*_read_param_set(buf, l, D, C))
     vel = ParamBundle(*_read_param_set(buf, l, D, C))
-    unit_age = _read_array(buf, l, "<i8")
+    unit_age = buf.array(l, "<i8")
     chains = None
     if flags & 4:
-        (n_chains,) = unpack("<I")
-        v = _read_array(buf, n_chains * D, "u1", (n_chains, D))
-        y = _read_array(buf, n_chains, "<u2").astype(np.int64) if flags & 8 else None
+        (n_chains,) = buf.unpack("<I")
+        v = buf.array(n_chains * D, "u1", (n_chains, D))
+        y = buf.array(n_chains, "<u2").astype(np.int64) if flags & 8 else None
         chains = FantasyChains(v=v, y=y)
-    if buf.read(1):
-        raise CheckpointError("trailing bytes in checkpoint payload")
+    buf.check_end()
     opt = OptimizerState(t=t, acc=acc, vel=vel, unit_age=unit_age)
     regroup = RegroupState(M_t=m_t, phase="adaptive" if phase else "early",
                            epoch=epoch, prev_l=prev_l, mz_history=mz_history,

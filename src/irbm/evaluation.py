@@ -201,12 +201,13 @@ class AisResult:
         return abs(self.log_z - reference) <= n_se * self.std_err
 
 
-def _interpolated(params: ModelParams, beta_k: float,
-                  b_base: np.ndarray) -> ModelParams:
-    """The model at inverse temperature beta_k: couplings scaled by beta_k,
-    visible biases mixed with the base model's. Its unit inputs are
-    beta_k * unit_inputs(params, .)."""
-    m = params.scaled(beta_k)
+def _interpolate(m: ModelParams, params: ModelParams, beta_k: float,
+                b_base: np.ndarray) -> ModelParams:
+    """Fill m, a model shaped like params, with the model at inverse
+    temperature beta_k: couplings scaled by beta_k, visible biases mixed with
+    the base model's. Its unit inputs are beta_k * unit_inputs(params, .)."""
+    for name, a in params.blocks():
+        np.multiply(a, beta_k, out=getattr(m, name))
     m.b_v += (1.0 - beta_k) * b_base
     return m
 
@@ -230,6 +231,13 @@ def ais_log_partition(params: ModelParams, n_temps: int, n_chains: int,
     base_means when given) to the target by scaling all coupling parameters
     along a geometric inverse-temperature ladder. Returns the log-mean
     importance weight plus a bootstrap standard error.
+
+    One interpolated model is allocated per run and refilled at each
+    temperature. A temperature below the last costs two GEMMs (the target's
+    unit inputs of the chains' visible state, and the sweep's visible
+    means), one scaling pass into that model, and two posterior builds: the
+    current state's, whose log_norm is the weight's numerator and from which
+    the sweep draws z, and the swept state's, the next weight's denominator.
     """
     if n_temps < 2:
         raise ValueError("need at least two temperatures")
@@ -251,22 +259,19 @@ def ais_log_partition(params: ModelParams, n_temps: int, n_chains: int,
         G = unit_inputs(params, V)
         return G if Y is None else with_label_inputs(params, G, Y)
 
-    def lp(m, V, Y, A):
-        """log p*(v [, y]) under m, whose unit inputs of V are A."""
-        return np.atleast_1d(z_posterior(m, V, Y, A=A).log_norm)
-
+    m = _interpolate(params.copy(), params, betas[0], b_base)
     log_w = np.zeros(n_chains)
     G = target_inputs(V, Y)
-    prev = lp(_interpolated(params, betas[0], b_base), V, Y, betas[0] * G)
+    prev = z_posterior(m, V, Y, A=betas[0] * G).log_norm
     for k in range(1, n_temps):
-        m = _interpolated(params, betas[k], b_base)
+        _interpolate(m, params, betas[k], b_base)
         A = betas[k] * G
-        cur = lp(m, V, Y, A)
-        log_w += cur - prev
+        zp = z_posterior(m, V, Y, A=A)
+        log_w += zp.log_norm - prev
         if k < n_temps - 1:
-            V, Y, _ = gibbs_sweep(m, V, Y, rng, A=A)
+            V, Y, _ = gibbs_sweep(m, V, Y, rng, A=A, zp=zp)
             G = target_inputs(V, Y)
-            prev = lp(m, V, Y, betas[k] * G)
+            prev = z_posterior(m, V, Y, A=betas[k] * G).log_norm
     if not np.all(np.isfinite(log_w)):
         bad = int(np.sum(~np.isfinite(log_w)))
         raise FloatingPointError(f"{bad}/{n_chains} AIS weights are not finite")

@@ -161,12 +161,9 @@ class ParamBundle:
             if arr is not None:
                 yield name, arr
 
-    # copy and scaled keep the class, and a model's penalty
+    # copy keeps the class, and a model's penalty
     def copy(self):
         return replace(self, **{name: a.copy() for name, a in self.blocks()})
-
-    def scaled(self, s: float):
-        return replace(self, **{name: a * s for name, a in self.blocks()})
 
     def __iadd__(self, other: "ParamBundle"):
         """Add other block by block, in place."""

@@ -17,6 +17,11 @@ twice (the z draw, then the h draw), so each visible batch's
   `PhaseSamples.a`, which the gradient reads (`training._phase_term`).
 
 Without `A=` every function computes its own inputs.
+
+Shared posterior. A caller that has already built the z posterior of the
+batch it sweeps (AIS reads its log_norm as an importance weight) hands it to
+`gibbs_sweep` and `draw_z` as `zp=`, beside the `A=` it was built from, so
+the z draw reuses it instead of building it again.
 """
 
 from __future__ import annotations
@@ -75,9 +80,11 @@ def categorical_rows(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.minimum(idx, p.shape[1] - 1)
 
 
-def draw_z(params: ModelParams, V, Y, rng, *, A=None) -> np.ndarray:
-    """z ~ p(z | v [, y]) for each row, clamped to l+1."""
-    zp = z_posterior(params, V, Y, A=A)
+def draw_z(params: ModelParams, V, Y, rng, *, A=None, zp=None) -> np.ndarray:
+    """z ~ p(z | v [, y]) for each row, clamped to l+1. zp, when given, is
+    z_posterior(params, V, Y) of the batch."""
+    if zp is None:
+        zp = z_posterior(params, V, Y, A=A)
     z = zp.sample(rng)
     return np.atleast_1d(z)
 
@@ -123,15 +130,16 @@ def draw_y_given_vz(params: ModelParams, V, Z, rng, *, A=None) -> np.ndarray:
     return _softmax_rows(head[np.arange(head.shape[0]), :, np.asarray(Z) - 1], rng)
 
 
-def gibbs_sweep(params: ModelParams, V, Y, rng, *, A=None):
+def gibbs_sweep(params: ModelParams, V, Y, rng, *, A=None, zp=None):
     """One full sweep z -> h -> v (-> y for joint chains) on a batch.
 
     Returns (V', Y', Z) where Z is the cutoff used for this sweep. A, when
-    given, is unit_inputs(params, V, Y).
+    given, is unit_inputs(params, V, Y), and zp, when given,
+    z_posterior(params, V, Y) of the batch.
     """
     if A is None:
         A = unit_inputs(params, V, Y)
-    Z = draw_z(params, V, Y, rng, A=A)
+    Z = draw_z(params, V, Y, rng, A=A, zp=zp)
     H = draw_h(params, V, Z, Y, rng, A=A)
     Vn = draw_v(params, H, rng)
     Yn = draw_y(params, H, rng) if Y is not None else None

@@ -116,18 +116,15 @@ class TrainConfig:
             raise ValueError("dis_grad must be 'exact' or 'sampled'")
         if self.lr_mode not in ("adagrad", "decay"):
             raise ValueError("lr_mode must be 'adagrad' or 'decay'")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.global_lr <= 0 or self.lr_half_life <= 0:
-            raise ValueError("learning rate and half life must be positive")
-        if not self.adagrad_eps > 0:
-            raise ValueError("adagrad_eps must be positive")
+        # each check is written so that NaN fails it
+        for name in ("alpha", "l1_weight", "l2_weight"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+        for name in ("global_lr", "lr_half_life", "adagrad_eps", "w_bound", "u_bound"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if self.cd_steps < 1:
             raise ValueError("cd_steps must be >= 1")
-        if self.l1_weight < 0 or self.l2_weight < 0:
-            raise ValueError("regularization weights must be >= 0")
-        if self.w_bound <= 0 or self.u_bound <= 0:
-            raise ValueError("max-norm bounds must be positive")
         if self.minibatch_size < 1:
             raise ValueError("minibatch_size must be >= 1")
         if self.n_chains is not None and self.n_chains < 1:

@@ -2,7 +2,10 @@
 
 Everything here is written with explicit Python loops straight from the
 defining formulas. None of it shares code paths with the library's
-vectorized kernels, so agreement is meaningful.
+vectorized kernels, so agreement is meaningful. The one exception is the
+AIS reference at the end, which pins the annealing loop rather than a
+formula: it calls the library's kernels, building everything afresh at
+each temperature.
 """
 
 from __future__ import annotations
@@ -248,3 +251,58 @@ def sample_z_inverse_cdf(zp, rng):
     u = rng.random(cdf.shape[0]) * cdf[:, -1]
     idx = (u[:, None] >= cdf).sum(axis=1)
     return np.minimum(idx, zp.support - 1) + 1
+
+
+# -- annealing -----------------------------------------------------------------
+
+
+def ais_building_afresh(params, n_temps, n_chains, rng, base_means=None,
+                        n_boot=200):
+    """AIS with nothing shared between the steps of a temperature: a new
+    interpolated model per temperature (every block times beta_k, then the
+    base visible biases mixed in), the current state's posterior built for
+    the weight, and `gibbs_sweep` left to build it again for its z draw.
+    The same draws in the same order as `evaluation.ais_log_partition`.
+    Returns (log_z, std_err, log_weights)."""
+    from dataclasses import replace
+
+    from scipy.special import expit, logit, logsumexp
+
+    from irbm.evaluation import base_log_partition
+    from irbm.model import log_sum_exp, unit_inputs, with_label_inputs, z_posterior
+    from irbm.sampling import gibbs_sweep
+
+    if base_means is None:
+        b_base = np.zeros(params.D)
+    else:
+        b_base = logit(np.clip(np.asarray(base_means, dtype=np.float64),
+                               1e-4, 1 - 1e-4))
+    betas = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, n_temps - 1)])
+    V = (rng.random((n_chains, params.D)) < expit(b_base)).astype(np.float64)
+    Y = rng.integers(0, params.C, size=n_chains) if params.has_labels else None
+
+    def model_at(beta):
+        m = replace(params, **{name: a * beta for name, a in params.blocks()})
+        m.b_v += (1.0 - beta) * b_base
+        return m
+
+    def target_inputs(V, Y):
+        G = unit_inputs(params, V)
+        return G if Y is None else with_label_inputs(params, G, Y)
+
+    log_w = np.zeros(n_chains)
+    G = target_inputs(V, Y)
+    prev = z_posterior(model_at(betas[0]), V, Y, A=betas[0] * G).log_norm
+    for k in range(1, n_temps):
+        m = model_at(betas[k])
+        A = betas[k] * G
+        log_w += z_posterior(m, V, Y, A=A).log_norm - prev
+        if k < n_temps - 1:
+            V, Y, _ = gibbs_sweep(m, V, Y, rng, A=A)
+            G = target_inputs(V, Y)
+            prev = z_posterior(m, V, Y, A=betas[k] * G).log_norm
+    log_z = (base_log_partition(params, b_base) + logsumexp(log_w)
+             - np.log(n_chains))
+    boots = [log_sum_exp(log_w[rng.integers(0, n_chains, size=n_chains)])
+             - np.log(n_chains) for _ in range(n_boot)]
+    return float(log_z), float(np.std(boots)), log_w

@@ -139,6 +139,32 @@ class TestIntegrity:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @staticmethod
+    def reframed(path, payload: bytes):
+        """Write payload under a header whose crc and length match it, so
+        only the parser can object."""
+        path.write_bytes(b"IRBM" + struct.pack("<IIQ", 1, zlib.crc32(payload),
+                                               len(payload)) + payload)
+
+    def test_short_payload_with_valid_crc_ends_early(self, tmp_path):
+        trainer, config, _, _ = trained_state(labeled=True, use_pcd=True)
+        path = tmp_path / "ck.irbm"
+        save_checkpoint(path, snapshot(trainer, config))
+        payload = path.read_bytes()[4 + 16:]
+        # inside the first struct, inside W, and one byte short of the end
+        for cut in (5, 80, len(payload) - 1):
+            self.reframed(path, payload[:cut])
+            with pytest.raises(CheckpointError, match="ends early"):
+                load_checkpoint(path)
+
+    def test_long_payload_with_valid_crc_has_trailing_bytes(self, tmp_path):
+        trainer, config, _, _ = trained_state()
+        path = tmp_path / "ck.irbm"
+        save_checkpoint(path, snapshot(trainer, config))
+        self.reframed(path, path.read_bytes()[4 + 16:] + b"\0")
+        with pytest.raises(CheckpointError, match="trailing bytes"):
+            load_checkpoint(path)
+
 
 def snapshot(trainer, config) -> CheckpointData:
     return CheckpointData(params=trainer.params, opt=trainer.opt,

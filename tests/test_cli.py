@@ -257,7 +257,9 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("setting", [
         "metrics_subsample=0", "checkpoint_every=-2", "ais_temps=1",
-        "ais_chains=0", "adagrad_eps=0", "adagrad_eps=nan"])
+        "ais_chains=0", "adagrad_eps=0", "adagrad_eps=nan", "global_lr=nan",
+        "lr_half_life=nan", "alpha=nan", "l1_weight=nan", "l2_weight=nan",
+        "w_bound=nan", "u_bound=nan"])
     def test_bad_setting_rejected_before_any_epoch(self, tmp_path, capsys, setting):
         out = tmp_path / "run"
         code = run(["train", "--dataset", "bars:side=3,n=60,seed=1",

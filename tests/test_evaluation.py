@@ -170,6 +170,39 @@ class TestAis:
                               rng=stream(39, "ais-inf"),
                               base_means=np.full(3, 0.999))
 
+    @pytest.mark.parametrize("C", [0, 3])
+    @pytest.mark.parametrize("mode", ["constant", "dynamic"])
+    @pytest.mark.parametrize("with_base", [False, True])
+    def test_bitwise_equal_to_building_afresh(self, C, mode, with_base):
+        m = make_model(314, D=7, l=5, C=C, scale=0.8, mode=mode)
+        base = random_binary(41, 30, 7).mean(axis=0) if with_base else None
+        res = ais_log_partition(m, n_temps=25, n_chains=9,
+                                rng=stream(41, "ais-ref"), base_means=base)
+        log_z, std_err, log_w = oracles.ais_building_afresh(
+            m, 25, 9, stream(41, "ais-ref"), base_means=base)
+        assert res.log_z == log_z and res.std_err == std_err
+        assert res.log_weights.tobytes() == log_w.tobytes()
+
+    @pytest.mark.parametrize("C", [0, 3])
+    def test_one_posterior_per_chain_state(self, monkeypatch, C):
+        # n temperatures weigh n - 1 chain states (the first and n - 2 swept
+        # ones), each under two adjacent models: 2n - 2 posteriors, the z
+        # draw of a sweep reusing the one its state's weight was read from
+        import irbm.evaluation as ev
+        import irbm.sampling as sm
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return z_posterior(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "z_posterior", counted)
+        monkeypatch.setattr(sm, "z_posterior", counted)
+        n = 10
+        ais_log_partition(make_model(315, D=4, l=3, C=C), n_temps=n, n_chains=5,
+                          rng=stream(42, "ais-count"))
+        assert len(built) == 2 * n - 2
+
     def test_needs_two_temperatures(self):
         m = make_model(313, D=3, l=2)
         with pytest.raises(ValueError):

@@ -54,3 +54,11 @@ def test_regroup_rate_sweep_prints_and_writes_curves(tmp_path):
     assert written.returncode == 0, written.stderr
     assert written.stdout.splitlines() == lines[:2] + [f"wrote {csv}"]
     assert csv.read_text().splitlines() == curves
+
+
+def test_regroup_rate_sweep_refuses_a_rho_outside_the_regroup_range():
+    for rho in ("0.95", "-0.1", "nan"):
+        done = run_script("regroup_rate_sweep.py", "--rhos", 0, rho)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert f"argument --rhos: must lie in [0, 0.9], got {rho}" in done.stderr

@@ -79,7 +79,7 @@ class _PayloadReader:
         self.payload, self.offset = payload, 0
 
     def _advance(self, size: int) -> int:
-        """The cursor's offset, after moving the cursor past size bytes."""
+        """Move the cursor past the next size bytes; return where they start."""
         start = self.offset
         if start + size > len(self.payload):
             raise CheckpointError("checkpoint payload ends early")

@@ -28,7 +28,7 @@ from .datasets import (
     write_ibmp,
 )
 from .evaluation import EXACT_D_CAP, full_report
-from .model import ParamBundle, marginal_z_posterior, zero_model
+from .model import ParamBundle, PenaltyConfig, marginal_z_posterior, zero_model
 from .rng import stream
 from .sampling import gibbs_sweep
 from .training import TrainConfig, Trainer
@@ -71,53 +71,26 @@ class RunConfig:
             raise ValueError("ais_temps must be >= 2")
         if self.ais_chains < 1:
             raise ValueError("ais_chains must be >= 1")
-        if self.penalty_mode not in ("constant", "dynamic"):
-            raise ValueError("penalty_mode must be 'constant' or 'dynamic'")
-        if self.beta <= 1.0:
-            raise ValueError("beta must exceed 1")
+        PenaltyConfig(self.beta, self.penalty_mode)
         self.train.validate()
         return self
 
 
-def _coerce(value: str, typ):
-    text = value.strip()
-    if typ in (int, "int"):
-        return int(text)
-    if typ in (float, "float"):
-        return float(text)
-    if typ in (bool, "bool"):
+def _coerce(text: str, default):
+    """`text` read as the type of `default`: a None default stands for an
+    optional int ('none', 'auto' or '' give None); bool is tested before
+    int, which it subclasses; str, int and float otherwise."""
+    text = text.strip()
+    if default is None:
+        return None if text.lower() in ("none", "auto", "") else int(text)
+    if isinstance(default, bool):
         low = text.lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"not a boolean: {text!r}")
-    if typ == "opt_int":
-        return None if text.lower() in ("none", "auto", "") else int(text)
-    return text
-
-
-def _annotation_kind(annotation) -> str:
-    text = str(annotation)
-    if "int | None" in text or "Optional[int]" in text:
-        return "opt_int"
-    if "bool" in text:
-        return "bool"
-    if "int" in text:
-        return "int"
-    if "float" in text:
-        return "float"
-    return "str"
-
-
-def _field_types() -> dict:
-    out = {}
-    for f in fields(RunConfig):
-        if f.name != "train":
-            out[f.name] = _annotation_kind(f.type)
-    for f in fields(TrainConfig):
-        out[f.name] = _annotation_kind(f.type)
-    return out
+    return type(default)(text)
 
 
 def parse_key_value_file(path) -> dict:
@@ -136,21 +109,19 @@ def parse_key_value_file(path) -> dict:
 
 def build_run_config(config_path=None, overrides=()) -> RunConfig:
     """Defaults, then the config file, then --set overrides; unknown keys are
-    rejected."""
-    types = _field_types()
-    run_fields = {f.name for f in fields(RunConfig) if f.name != "train"}
-    train_fields = {f.name for f in fields(TrainConfig)}
+    rejected. Each value is read as the type of its key's default."""
     config = RunConfig()
+    owners = {f.name: config for f in fields(RunConfig) if f.name != "train"}
+    owners.update((f.name, config.train) for f in fields(TrainConfig))
+    defaults = {key: getattr(owner, key) for key, owner in owners.items()}
 
     def apply(key, value, where):
-        if key not in types:
+        if key not in owners:
             raise ValueError(f"unknown configuration key {key!r} ({where})")
-        typ = types[key]
-        converted = _coerce(value, typ)
-        if key in run_fields:
-            setattr(config, key, converted)
-        elif key in train_fields:
-            setattr(config.train, key, converted)
+        try:
+            setattr(owners[key], key, _coerce(value, defaults[key]))
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc} ({where})") from None
 
     if config_path:
         for key, value in parse_key_value_file(config_path).items():
@@ -165,32 +136,33 @@ def build_run_config(config_path=None, overrides=()) -> RunConfig:
 
 # -- dataset resolution ---------------------------------------------------------
 
-
-def _parse_spec_args(text: str) -> dict:
-    out = {}
-    if not text:
-        return out
-    for part in text.split(","):
-        key, value = part.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+# family -> (builder, keyword defaults); a spec 'family:key=value,...'
+# overrides any of these keys
+SYNTHETIC = {
+    "bars": (synth_bars_and_stripes, {"side": 4, "n": 500, "seed": 0}),
+    "shifted": (synth_shifted_patterns, {"length": 8, "width": 3, "n": 500,
+                                         "seed": 0, "labeled": False}),
+}
 
 
 def resolve_dataset(spec: str, split: str = "train") -> Dataset:
     """A filesystem path loads a packed-bitmap file (picking `split`);
     'bars:...' and 'shifted:...' build the synthetic families."""
-    if spec.startswith("bars:") or spec == "bars":
-        args = _parse_spec_args(spec.partition(":")[2])
-        return synth_bars_and_stripes(side=int(args.get("side", 4)),
-                                      n=int(args.get("n", 500)),
-                                      seed=int(args.get("seed", 0)))
-    if spec.startswith("shifted:") or spec == "shifted":
-        args = _parse_spec_args(spec.partition(":")[2])
-        return synth_shifted_patterns(length=int(args.get("length", 8)),
-                                      width=int(args.get("width", 3)),
-                                      n=int(args.get("n", 500)),
-                                      seed=int(args.get("seed", 0)),
-                                      labeled=bool(int(args.get("labeled", 0))))
+    family, _, text = spec.partition(":")
+    if family in SYNTHETIC:
+        build, defaults = SYNTHETIC[family]
+        args = dict(defaults)
+        try:
+            for part in text.split(",") if text else ():
+                key, eq, value = part.partition("=")
+                key = key.strip()
+                if not eq or key not in defaults:
+                    raise ValueError(f"expected key=value with key in "
+                                     f"{', '.join(defaults)}, got {part!r}")
+                args[key] = _coerce(value, defaults[key])
+        except ValueError as exc:
+            raise ValueError(f"dataset spec {spec!r}: {exc}") from None
+        return build(**args)
     path = Path(spec)
     if not path.exists():
         raise ValueError(f"dataset {spec!r} is neither a file nor a synthetic spec")
@@ -278,15 +250,11 @@ def _check_resumed_model(saved, fresh):
 
 
 def cmd_train(args) -> int:
-    config = build_run_config(args.config, args.set)
-    if args.dataset:
-        config.dataset = args.dataset
-    if args.out_dir:
-        config.out_dir = args.out_dir
-    if args.epochs is not None:
-        config.epochs = args.epochs
-    if args.resume:
-        config.resume = args.resume
+    # the flags are --set overrides given last, so they win
+    flags = [f"{key}={value}" for key, value in (
+        ("dataset", args.dataset), ("out_dir", args.out_dir),
+        ("epochs", args.epochs), ("resume", args.resume)) if value is not None]
+    config = build_run_config(args.config, [*(args.set or ()), *flags])
     config.validate()
 
     data = resolve_dataset(config.dataset, "train")

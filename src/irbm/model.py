@@ -115,7 +115,8 @@ class PenaltyConfig:
         if not np.isfinite(self.beta) or self.beta <= 1.0:
             raise ValueError(f"beta must be finite and > 1, got {self.beta}")
         if self.mode not in ("constant", "dynamic"):
-            raise ValueError(f"unknown penalty mode {self.mode!r}")
+            raise ValueError(f"penalty_mode must be 'constant' or 'dynamic', "
+                             f"got {self.mode!r}")
 
     @property
     def beta_zero(self) -> float:

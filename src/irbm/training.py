@@ -116,11 +116,15 @@ class TrainConfig:
             raise ValueError("dis_grad must be 'exact' or 'sampled'")
         if self.lr_mode not in ("adagrad", "decay"):
             raise ValueError("lr_mode must be 'adagrad' or 'decay'")
-        # each check is written so that NaN fails it
+        # each check is written so that NaN fails it; inf is refused where
+        # it would make a step non-finite, and kept where it means no decay
+        # (lr_half_life) or no clipping (w_bound, u_bound)
         for name in ("alpha", "l1_weight", "l2_weight"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in ("global_lr", "lr_half_life", "adagrad_eps", "w_bound", "u_bound"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not 0 < self.global_lr < math.inf:
+            raise ValueError("global_lr must be finite and positive")
+        for name in ("lr_half_life", "adagrad_eps", "w_bound", "u_bound"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.cd_steps < 1:

@@ -9,7 +9,13 @@ import irbm.evaluation as ev
 from conftest import make_model, random_binary
 from irbm.checkpoint import load_checkpoint
 from irbm.cli import build_parser, build_run_config, main, write_pgm
-from irbm.datasets import Dataset, read_ibmp, write_ibmp
+from irbm.datasets import (
+    Dataset,
+    read_ibmp,
+    synth_bars_and_stripes,
+    synth_shifted_patterns,
+    write_ibmp,
+)
 from irbm.training import TrainConfig, Trainer
 
 
@@ -259,13 +265,54 @@ class TestRunConfig:
         "metrics_subsample=0", "checkpoint_every=-2", "ais_temps=1",
         "ais_chains=0", "adagrad_eps=0", "adagrad_eps=nan", "global_lr=nan",
         "lr_half_life=nan", "alpha=nan", "l1_weight=nan", "l2_weight=nan",
-        "w_bound=nan", "u_bound=nan"])
+        "w_bound=nan", "u_bound=nan", "global_lr=inf", "alpha=inf",
+        "l1_weight=inf", "l2_weight=inf", "beta=nan", "beta=inf", "beta=1.0"])
     def test_bad_setting_rejected_before_any_epoch(self, tmp_path, capsys, setting):
         out = tmp_path / "run"
         code = run(["train", "--dataset", "bars:side=3,n=60,seed=1",
                     "--out-dir", out, "--epochs", 2, "--set", setting])
         assert code == 1
         assert f"error: {setting.split('=')[0]} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_meaningful_infinities_validate(self):
+        # inf means no learning-rate decay and no max-norm clipping
+        config = build_run_config(None, ["dataset=bars", "lr_half_life=inf",
+                                         "w_bound=inf", "u_bound=inf"])
+        assert config.validate() is config
+        assert config.train.lr_half_life == config.train.w_bound == \
+            config.train.u_bound == float("inf")
+
+    def test_every_key_set_to_its_default_text_gives_the_defaults(self):
+        def settings(config):
+            return {key: value for key, value in
+                    {**vars(config), **vars(config.train)}.items() if key != "train"}
+
+        fresh = cli.RunConfig()
+        config = build_run_config(
+            None, [f"{key}={value}" for key, value in settings(fresh).items()])
+        assert config == fresh
+        assert ({key: type(value) for key, value in settings(config).items()}
+                == {key: type(value) for key, value in settings(fresh).items()})
+
+    def test_bad_value_names_its_key(self, capsys):
+        for setting in ("epochs=two", "use_pcd=maybe", "n_chains=1.5"):
+            with pytest.raises(ValueError, match=f"^{setting.split('=')[0]}: "):
+                build_run_config(None, [setting])
+
+    def test_epochs_flag_overrides_set(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["train", "--dataset", "bars:side=3,n=60,seed=1",
+                    "--out-dir", out, "--set", "epochs=3", "--epochs", 2]) == 0
+        assert load_checkpoint(out / "checkpoint.irbm").epochs_done == 2
+        rows = (out / "metrics.csv").read_text().strip().splitlines()[2:]
+        assert [r.split(",")[0] for r in rows] == ["1", "2"]
+
+    def test_zero_epochs_flag_rejected(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["train", "--dataset", "bars:side=3,n=60,seed=1",
+                    "--out-dir", out, "--set", "epochs=3", "--epochs", 0]) == 1
+        assert "error: epochs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_floating_point_failure_is_a_runtime_error(self, tmp_path, capsys,
@@ -278,6 +325,54 @@ class TestRunConfig:
                     "--out-dir", tmp_path / "run", "--epochs", 1])
         assert code == 2
         assert capsys.readouterr().err == "error: non-finite entries in block W\n"
+
+
+class TestDatasetSpec:
+    @pytest.mark.parametrize("spec, build", [
+        ("bars", lambda: synth_bars_and_stripes(4, 500, 0)),
+        ("bars:", lambda: synth_bars_and_stripes(4, 500, 0)),
+        ("bars:side=3,n=120,seed=1", lambda: synth_bars_and_stripes(3, 120, 1)),
+        ("bars:side=3,n=60,seed=1", lambda: synth_bars_and_stripes(3, 60, 1)),
+        ("bars:side=3,n=60,seed=2", lambda: synth_bars_and_stripes(3, 60, 2)),
+        ("bars:side=3,n=40,seed=4", lambda: synth_bars_and_stripes(3, 40, 4)),
+        ("bars:side=3,n=10,seed=1", lambda: synth_bars_and_stripes(3, 10, 1)),
+        ("bars:side=3,n=50,seed=2", lambda: synth_bars_and_stripes(3, 50, 2)),
+        ("bars:side=4,n=120,seed=1", lambda: synth_bars_and_stripes(4, 120, 1)),
+        ("bars:side=4,n=40,seed=2", lambda: synth_bars_and_stripes(4, 40, 2)),
+        ("bars:side=4,n=500,seed=1", lambda: synth_bars_and_stripes(4, 500, 1)),
+        ("bars:side=4,n=300,seed=2", lambda: synth_bars_and_stripes(4, 300, 2)),
+        ("bars:side=4,n=300,seed=3", lambda: synth_bars_and_stripes(4, 300, 3)),
+        ("bars:side=5,n=80,seed=1", lambda: synth_bars_and_stripes(5, 80, 1)),
+        ("bars: side = 3 , n=7", lambda: synth_bars_and_stripes(3, 7, 0)),
+        ("shifted", lambda: synth_shifted_patterns(8, 3, 500, 0)),
+        ("shifted:length=8,width=3,n=400,seed=2,labeled=1",
+         lambda: synth_shifted_patterns(8, 3, 400, 2, labeled=True)),
+        ("shifted:length=6,labeled=0",
+         lambda: synth_shifted_patterns(6, 3, 500, 0, labeled=False)),
+        ("shifted:labeled=true,n=30",
+         lambda: synth_shifted_patterns(8, 3, 30, 0, labeled=True)),
+    ])
+    def test_spec_builds_its_family(self, spec, build):
+        got, want = cli.resolve_dataset(spec), build()
+        assert np.array_equal(got.X, want.X)
+        assert (got.y is None) == (want.y is None)
+        if want.y is not None:
+            assert np.array_equal(got.y, want.y)
+        assert (got.n_classes, got.split) == (want.n_classes, want.split)
+
+    @pytest.mark.parametrize("spec", [
+        "bars:sied=3", "bars:side", "shifted:labeled=2", "bars:side=3,",
+        "bars:side=three"])
+    def test_bad_spec_rejected_by_every_command(self, tmp_path, capsys, spec):
+        ckpt = train_small(tmp_path, epochs=1) / "checkpoint.irbm"
+        capsys.readouterr()
+        out = tmp_path / "bad-run"
+        for argv in (["train", "--dataset", spec, "--out-dir", out, "--epochs", 1],
+                     ["eval", ckpt, spec, "--split", "train", "--perms", 1],
+                     ["check", ckpt, "--dataset", spec, "--perms", 1]):
+            assert run(argv) == 1, argv[0]
+            assert f"error: dataset spec {spec!r}: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEval:

@@ -422,6 +422,8 @@ def cmd_sample(args) -> int:
 def cmd_check(args) -> int:
     if args.perms < 1:
         raise ValueError(f"--perms must be >= 1, got {args.perms}")
+    # a bad spec is refused before any check runs
+    data = resolve_dataset(args.dataset, args.split) if args.dataset else None
     try:
         ckpt = load_checkpoint(args.checkpoint)
     except CheckpointError as exc:
@@ -480,8 +482,7 @@ def cmd_check(args) -> int:
     else:
         print("skip gradient-finite-differences (model too large)")
 
-    if args.dataset:
-        data = resolve_dataset(args.dataset, args.split)
+    if data is not None:
         m_t = ckpt.regroup.M_t
         if m_t >= 1 and m_t <= params.l:
             inv = evaluation.check_order_invariance(

@@ -12,16 +12,18 @@ the data batch before the step, which feeds the positive z draw, the first
 CD h draw, the positive gradient term and, for labeled models, the label
 pass; each negative batch (one per CD round, plus the particles' starting
 state under PCD), which feeds its z draw, the next h draw and the negative
-gradient term; and the data batch after the step, for the regroup
-statistic, which must read the updated parameters. CD-k thus makes k + 2
-passes.
+gradient term; and, under `regroup_mode` `adaptive` only, the data batch
+after the step, for the regroup statistic, which must read the updated
+parameters. CD-k thus makes k + 1 passes under `off` and `fixed` and k + 2
+under `adaptive`.
 
 The label pass (`grad_discriminative_exact`) builds the per-class weights
 of `model.label_joint_log_weights` once per batch, block by block over
 cache-sized row blocks (`model.row_blocks`), and each block is read by both
 the positive label draw, through p(y | v), and the exact discriminative
 gradient. The regroup statistic, the tail-pooled mode of
-`model.marginal_z_posterior`, runs over the same blocks for a labeled model.
+`model.marginal_z_posterior`, runs over the same blocks for a labeled model;
+it is a second label pass, which only the adaptive schedule pays for.
 No (n, C, l+1) array lives for a whole update. The optimizer step and the
 max-norm projection also run in row blocks. Every GEMM and every sum over
 the examples of a batch runs on the full arrays, so the blocking moves no
@@ -117,14 +119,16 @@ class TrainConfig:
         if self.lr_mode not in ("adagrad", "decay"):
             raise ValueError("lr_mode must be 'adagrad' or 'decay'")
         # each check is written so that NaN fails it; inf is refused where
-        # it would make a step non-finite, and kept where it means no decay
-        # (lr_half_life) or no clipping (w_bound, u_bound)
+        # it would make a step non-finite or zero (adagrad_eps), and kept
+        # where it means no decay (lr_half_life) or no clipping (w_bound,
+        # u_bound)
         for name in ("alpha", "l1_weight", "l2_weight"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
-        if not 0 < self.global_lr < math.inf:
-            raise ValueError("global_lr must be finite and positive")
-        for name in ("lr_half_life", "adagrad_eps", "w_bound", "u_bound"):
+        for name in ("global_lr", "adagrad_eps"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        for name in ("lr_half_life", "w_bound", "u_bound"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.cd_steps < 1:
@@ -360,7 +364,15 @@ class OptimizerState:
 
 @dataclass
 class RegroupState:
-    """Current regroup length plus the per-epoch history feeding it."""
+    """Current regroup length plus the per-epoch history feeding it.
+
+    mz_history holds one average posterior mode M_z per finished epoch, and
+    mode_sum / mode_count accumulate the current epoch's modes. Only the
+    adaptive schedule records modes; under off and fixed nothing is
+    recorded, so each epoch appends the placeholder 0.0. A fixed or off
+    checkpoint may still hold real values (older files recorded them under
+    every schedule); they load and resume unchanged.
+    """
 
     M_t: int = 0
     phase: str = "early"              # early | adaptive
@@ -393,10 +405,11 @@ def regroup_schedule_update(regroup: RegroupState, l: int,
                             config: TrainConfig) -> int:
     """Epoch-boundary update of M_t.
 
-    Finalizes the epoch's average posterior mode M_z, decides whether the
-    adaptive phase starts (explicit epoch, or pool growth below 1% over the
-    epoch), and in the adaptive phase sets M_t to the mean of M_z over the
-    last 20% of elapsed epochs minus 10, clamped to [0, l-1].
+    Finalizes the epoch's average posterior mode M_z (0.0, the placeholder,
+    for an epoch that recorded no modes, as under off and fixed), decides
+    whether the adaptive phase starts (explicit epoch, or pool growth below
+    1% over the epoch), and in the adaptive phase sets M_t to the mean of
+    M_z over the last 20% of elapsed epochs minus 10, clamped to [0, l-1].
     """
     mz = regroup.mode_sum / regroup.mode_count if regroup.mode_count else 0.0
     regroup.mz_history.append(mz)
@@ -679,9 +692,12 @@ class Trainer:
         self._apply_gradient(grad)
         max_norm_project(params, cfg.w_bound, cfg.u_bound)
 
-        # the regroup statistic reads the stepped model before it grows
-        self.regroup.record_modes(
-            marginal_z_posterior(params, V).mode(pool_tail=True))
+        # the regroup statistic reads the stepped model before it grows. Only
+        # the adaptive schedule reads it: its M_t averages the M_z of recent
+        # epochs, early-phase epochs included, so off and fixed skip it
+        if cfg.regroup_mode == "adaptive":
+            self.regroup.record_modes(
+                marginal_z_posterior(params, V).mode(pool_tail=True))
         grew = growth_decision(z_pos_max, z_neg_max, l_before)
         if grew:
             _grow_by_one(params, self.opt, work)

@@ -218,6 +218,61 @@ class TestStreamedSave:
         assert path.read_bytes() == reference_file(data)
 
 
+class TestRecordedHistory:
+    """Earlier releases recorded the regroup statistic under every schedule,
+    so a fixed checkpoint may hold real M_z values (and, saved between
+    updates, a pending mode sum). Such a file loads and resumes the fixed
+    trajectory; its history is kept, and each later epoch appends 0.0."""
+
+    def config(self, regroup_mode):
+        return TrainConfig(objective="generative", cd_steps=1, minibatch_size=10,
+                           regroup_mode=regroup_mode, regroup_rho=0.6,
+                           adaptive_switch_epoch=100, seed=41)
+
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_fixed_checkpoint_with_a_recorded_history_resumes(self, tmp_path,
+                                                               pending):
+        X = random_binary(3, 40, 5)
+        fixed = self.config("fixed")
+        straight = Trainer(zero_model(D=5), fixed, n_train=40)
+        for _ in range(4):
+            straight.run_epoch(X)
+        # before its switch epoch the adaptive schedule is the fixed one that
+        # records the statistic, as every schedule once did
+        recording = Trainer(zero_model(D=5), self.config("adaptive"), n_train=40)
+        for _ in range(2):
+            recording.run_epoch(X)
+        history = list(recording.regroup.mz_history)
+        assert len(history) == 2 and min(history) > 0
+        if pending:
+            recording.regroup.record_modes(np.array([4.0, 5.0]))
+        path = tmp_path / "recorded.irbm"
+        path.write_bytes(reference_file(snapshot(recording, fixed)))
+
+        data = load_checkpoint(path)
+        assert data.regroup.mz_history == history
+        assert data.regroup.mode_sum == (9.0 if pending else 0.0)
+        resumed = Trainer(data.params, fixed, n_train=40)
+        resumed.restore(data.opt, data.regroup, data.chains, data.epochs_done)
+        for _ in range(2):
+            resumed.run_epoch(X)
+
+        for name in ("W", "b_v", "c"):
+            assert np.array_equal(getattr(resumed.params, name),
+                                  getattr(straight.params, name))
+            assert np.array_equal(getattr(resumed.opt.acc, name),
+                                  getattr(straight.opt.acc, name))
+            assert np.array_equal(getattr(resumed.opt.vel, name),
+                                  getattr(straight.opt.vel, name))
+        assert np.array_equal(resumed.opt.unit_age, straight.opt.unit_age)
+        assert resumed.regroup.M_t == straight.regroup.M_t
+        assert straight.regroup.mz_history == [0.0] * 4
+        # a pending sum is finalized into the first epoch after the resume
+        assert resumed.regroup.mz_history == history + ([4.5] if pending else
+                                                        [0.0]) + [0.0]
+        assert (resumed.regroup.mode_sum, resumed.regroup.mode_count) == (0.0, 0)
+
+
 class TestAtomicSave:
     """A save that fails part way leaves the previous checkpoint in place,
     byte for byte, and no temporary file next to it."""

@@ -263,7 +263,8 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("setting", [
         "metrics_subsample=0", "checkpoint_every=-2", "ais_temps=1",
-        "ais_chains=0", "adagrad_eps=0", "adagrad_eps=nan", "global_lr=nan",
+        "ais_chains=0", "adagrad_eps=0", "adagrad_eps=nan", "adagrad_eps=inf",
+        "global_lr=nan",
         "lr_half_life=nan", "alpha=nan", "l1_weight=nan", "l2_weight=nan",
         "w_bound=nan", "u_bound=nan", "global_lr=inf", "alpha=inf",
         "l1_weight=inf", "l2_weight=inf", "beta=nan", "beta=inf", "beta=1.0"])
@@ -371,7 +372,10 @@ class TestDatasetSpec:
                      ["eval", ckpt, spec, "--split", "train", "--perms", 1],
                      ["check", ckpt, "--dataset", spec, "--perms", 1]):
             assert run(argv) == 1, argv[0]
-            assert f"error: dataset spec {spec!r}: " in capsys.readouterr().err
+            captured = capsys.readouterr()
+            assert f"error: dataset spec {spec!r}: " in captured.err
+            # refused before any work: check prints no result line
+            assert captured.out == "", argv[0]
         assert not out.exists()
 
 

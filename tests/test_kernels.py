@@ -173,9 +173,9 @@ def _strip_sharing(monkeypatch):
             monkeypatch.setattr(mod, name, stripped)
 
 
-def _trainer(labeled, **overrides):
+def _trainer(labeled, regroup_mode="fixed", **overrides):
     C = 3 if labeled else 0
-    config = TrainConfig(minibatch_size=20, regroup_mode="fixed", regroup_rho=0.7,
+    config = TrainConfig(minibatch_size=20, regroup_mode=regroup_mode, regroup_rho=0.7,
                          global_lr=1.0, seed=11, **overrides)
     return Trainer(make_model(12, D=10, l=9, C=C), config, n_train=40)
 
@@ -185,11 +185,20 @@ def _batch(labeled):
     return V, (np.arange(20) % 3 if labeled else None)
 
 
+ADAPTIVE = dict(regroup_mode="adaptive")
+
+
 class TestActivationPasses:
+    # CD-k makes k + 1 activation passes and one label pass per update under
+    # off and fixed; the adaptive schedule adds one of each for the regroup
+    # statistic
     @pytest.mark.parametrize("overrides, labeled, inputs, joint", [
-        (dict(cd_steps=1), False, 3, 0),
-        (dict(cd_steps=3), False, 5, 0),
-        (dict(objective="hybrid", alpha=0.01, cd_steps=1), True, 3, 2),
+        (dict(cd_steps=1, **ADAPTIVE), False, 3, 0),
+        (dict(cd_steps=3, **ADAPTIVE), False, 5, 0),
+        (dict(objective="hybrid", alpha=0.01, cd_steps=1, **ADAPTIVE), True, 3, 2),
+        (dict(cd_steps=1), False, 2, 0),
+        (dict(cd_steps=3), False, 4, 0),
+        (dict(objective="hybrid", alpha=0.01, cd_steps=1), True, 2, 1),
     ])
     def test_calls_per_update(self, monkeypatch, overrides, labeled, inputs, joint):
         trainer = _trainer(labeled, **overrides)
@@ -200,6 +209,20 @@ class TestActivationPasses:
         assert n_inputs["n"] == inputs
         assert n_joint["n"] == joint
 
+    @pytest.mark.parametrize("labeled", [False, True])
+    @pytest.mark.parametrize("mode, builds", [("off", 0), ("fixed", 0), ("adaptive", 1)])
+    def test_regroup_statistic_only_under_adaptive(self, monkeypatch, labeled, mode,
+                                                   builds):
+        objective = dict(objective="hybrid", alpha=0.01) if labeled else {}
+        trainer = _trainer(labeled, regroup_mode=mode, cd_steps=1, **objective)
+        V, Y = _batch(labeled)
+        posteriors = _count_calls(monkeypatch, "marginal_z_posterior")
+        for _ in range(2):
+            trainer.update_step(V, Y)
+        assert posteriors["n"] == 2 * builds
+        assert trainer.regroup.mode_count == 2 * builds * V.shape[0]
+        assert (trainer.regroup.mode_sum > 0) == (builds > 0)
+
     @pytest.mark.parametrize("overrides, labeled", [
         (dict(cd_steps=1), False),
         (dict(cd_steps=3), False),
@@ -208,6 +231,8 @@ class TestActivationPasses:
         (dict(objective="hybrid", alpha=0.5, cd_steps=2, dis_grad="sampled"), True),
         (dict(objective="discriminative"), True),
         (dict(objective="generative", cd_steps=1), True),
+        (dict(cd_steps=1, **ADAPTIVE), False),
+        (dict(objective="hybrid", alpha=0.01, cd_steps=1, **ADAPTIVE), True),
     ])
     def test_shared_update_equals_unshared(self, monkeypatch, overrides, labeled):
         V, Y = _batch(labeled)
@@ -228,6 +253,7 @@ class TestActivationPasses:
             assert (a is None and b is None) or np.array_equal(a, b), name
         assert np.array_equal(shared.opt.vel.W, plain.opt.vel.W)
         assert shared.regroup.mode_sum == plain.regroup.mode_sum
+        assert shared.regroup.mode_count == plain.regroup.mode_count
 
     @pytest.mark.parametrize("labeled", [False, True])
     def test_shared_report_equals_unshared(self, monkeypatch, labeled):
@@ -344,6 +370,7 @@ class TestRowBlocks:
         dict(objective="hybrid", alpha=0.5, cd_steps=2, dis_grad="sampled"),
         dict(objective="discriminative"),
         dict(objective="generative", cd_steps=1),
+        dict(objective="hybrid", alpha=0.01, cd_steps=1, **ADAPTIVE),
     ])
     def test_updates(self, monkeypatch, overrides):
         V, Y = _batch(labeled=True)
@@ -361,6 +388,7 @@ class TestRowBlocks:
             assert same_bundle(trainer.opt.acc, ref.opt.acc)
             assert same_bundle(trainer.opt.vel, ref.opt.vel)
             assert trainer.regroup.mode_sum == ref.regroup.mode_sum
+            assert trainer.regroup.mode_count == ref.regroup.mode_count
 
     @pytest.mark.parametrize("lr_mode", ["adagrad", "decay"])
     def test_optimizer_and_max_norm(self, monkeypatch, lr_mode):

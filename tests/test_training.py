@@ -379,7 +379,9 @@ class TestRegroupTrajectory:
     """Per-epoch (l, M_t) and the regroup statistic's history, recorded from
     the trainer before growth and permutation ran in place. The statistic
     reads the stepped model before it grows; read after growth, every epoch
-    that grows moves mz_history."""
+    that grows moves mz_history. Only the adaptive schedule records it."""
+
+    HYBRID_LM = [(7, 3), (13, 6), (19, 9), (25, 12), (31, 15), (37, 18)]
 
     def _run(self, params, config, X, Y, epochs):
         trainer = Trainer(params, config, n_train=X.shape[0])
@@ -400,15 +402,26 @@ class TestRegroupTrajectory:
                       (63, 8), (72, 8)]
         assert mz == [6.5, 14.965, 8.625, 6.69, 16.54, 17.97, 18.395, 18.015]
 
-    def test_hybrid_fixed_regroup(self):
+    def _hybrid(self, **regroup):
         from irbm.datasets import synth_shifted_patterns
         ds = synth_shifted_patterns(8, 3, 120, 0, labeled=True)
         config = TrainConfig(objective="hybrid", alpha=0.05, minibatch_size=20,
-                             regroup_mode="fixed", regroup_rho=0.5,
-                             global_lr=0.1, seed=12)
-        lm, mz = self._run(zero_model(D=8, C=8), config,
-                           ds.X.astype(np.float64), ds.y.astype(np.int64), 6)
-        assert lm == [(7, 3), (13, 6), (19, 9), (25, 12), (31, 15), (37, 18)]
+                             regroup_rho=0.5, global_lr=0.1, seed=12, **regroup)
+        return self._run(zero_model(D=8, C=8), config,
+                         ds.X.astype(np.float64), ds.y.astype(np.int64), 6)
+
+    def test_hybrid_fixed_regroup(self):
+        # fixed never reads the statistic, so each epoch records the 0.0
+        # placeholder
+        lm, mz = self._hybrid(regroup_mode="fixed")
+        assert lm == self.HYBRID_LM
+        assert mz == [0.0] * 6
+
+    def test_hybrid_adaptive_early_phase(self):
+        # before its switch epoch the adaptive schedule runs the fixed one
+        # and records the statistic every epoch
+        lm, mz = self._hybrid(regroup_mode="adaptive", adaptive_switch_epoch=7)
+        assert lm == self.HYBRID_LM
         assert mz == [4.5, 10.5, 16.5, 21.791666666666668, 26.583333333333332,
                       28.675]
 

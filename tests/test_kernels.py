@@ -253,7 +253,6 @@ class TestActivationPasses:
             assert (a is None and b is None) or np.array_equal(a, b), name
         assert np.array_equal(shared.opt.vel.W, plain.opt.vel.W)
         assert shared.regroup.mode_sum == plain.regroup.mode_sum
-        assert shared.regroup.mode_count == plain.regroup.mode_count
 
     @pytest.mark.parametrize("labeled", [False, True])
     def test_shared_report_equals_unshared(self, monkeypatch, labeled):
@@ -388,7 +387,6 @@ class TestRowBlocks:
             assert same_bundle(trainer.opt.acc, ref.opt.acc)
             assert same_bundle(trainer.opt.vel, ref.opt.vel)
             assert trainer.regroup.mode_sum == ref.regroup.mode_sum
-            assert trainer.regroup.mode_count == ref.regroup.mode_count
 
     @pytest.mark.parametrize("lr_mode", ["adagrad", "decay"])
     def test_optimizer_and_max_norm(self, monkeypatch, lr_mode):

@@ -563,24 +563,25 @@ def cmd_convert_dataset(args) -> int:
             raise ValueError("--npz is required for npz conversion")
         payload = np.load(args.npz)
         splits = {}
+        # non-binary splits draw in turn from one stream: no two share uniforms
+        rng = stream(args.seed, "binarize")
         for split in ("train", "valid", "test"):
             key = f"{split}_x"
             if key not in payload:
                 continue
             X = payload[key]
             y = payload.get(f"{split}_y")
-            if X.min() < 0 or X.max() > 1:
+            if not (X.min() >= 0 and X.max() <= 1):   # NaN fails
                 raise ValueError(f"{key} must be binary or in [0, 1]")
             if np.array_equal(X, X.astype(np.uint8)):
                 bits = X.astype(np.uint8)
             else:
                 bits = binarize_stochastic(X.reshape(X.shape[0], -1),
-                                           seed=args.seed).X
-            n_classes = int(max(int(payload[f"{s}_y"].max()) for s in
+                                           seed=args.seed, rng=rng).X
+            n_classes = int(max(payload[f"{s}_y"].max() for s in
                                 ("train", "valid", "test")
                                 if f"{s}_y" in payload) + 1) if y is not None else 0
-            splits[split] = Dataset(X=bits.reshape(bits.shape[0], -1),
-                                    y=None if y is None else y.astype(np.int32),
+            splits[split] = Dataset(X=bits.reshape(bits.shape[0], -1), y=y,
                                     n_classes=n_classes, split=split)
         if not splits:
             raise ValueError("npz holds no train_x/valid_x/test_x arrays")

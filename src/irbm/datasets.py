@@ -40,13 +40,17 @@ class Dataset:
             raise ValueError("examples must be binary")
         self.X = np.ascontiguousarray(X, dtype=np.uint8)
         if self.y is not None:
-            self.y = np.ascontiguousarray(self.y, dtype=np.int32)
-            if self.y.shape != (self.X.shape[0],):
+            y = np.asarray(self.y)
+            if y.shape != (self.X.shape[0],):
                 raise ValueError("one label per example is required")
             if self.n_classes <= 0:
                 raise ValueError("labeled datasets must declare n_classes")
-            if self.y.size and (self.y.min() < 0 or self.y.max() >= self.n_classes):
+            # checked before the cast, like X: it would truncate 1.7 to 1
+            if np.any(y != np.round(y)):
+                raise ValueError("labels must be whole numbers")
+            if y.size and (y.min() < 0 or y.max() >= self.n_classes):
                 raise ValueError("label out of range")
+            self.y = np.ascontiguousarray(y, dtype=np.int32)
         if self.split not in SPLITS:
             raise ValueError(f"split must be one of {SPLITS}")
 
@@ -98,13 +102,13 @@ def load_mnist_idx(images_path, labels_path=None):
 
 
 def binarize_stochastic(intensities, seed: int, labels=None, n_classes: int = 0,
-                        split: str = "train") -> Dataset:
+                        split: str = "train", *, rng=None) -> Dataset:
     """Set each pixel to 1 with probability equal to its intensity, once,
-    under a fixed seed."""
+    under a fixed seed, or with uniforms drawn from rng when it is given."""
     intensities = np.asarray(intensities, dtype=np.float64)
-    if intensities.min() < 0 or intensities.max() > 1:
+    if not (intensities.min() >= 0 and intensities.max() <= 1):   # NaN fails
         raise ValueError("intensities must lie in [0, 1]")
-    rng = stream(seed, "binarize")
+    rng = stream(seed, "binarize") if rng is None else rng
     bits = (rng.random(intensities.shape) < intensities).astype(np.uint8)
     return Dataset(X=bits, y=labels, n_classes=n_classes, split=split)
 

@@ -1,7 +1,7 @@
 """Evaluation: exact partition functions for small models, AIS for the rest,
 and the dataset metrics (order invariance, effective size, classification),
-each a reduction over `order_pass`: one activation pass, plus one
-label-weight build in row blocks for labeled models, per model ordering.
+each a reduction over `order_pass`: one `model.marginal_z_posterior` per
+model ordering, whose label blocks also give a labeled model's log p(y | v).
 
 Everything here reads the model without mutating it. Exact quantities
 enumerate all 2^D visible vectors and are guarded by a dimension cap.
@@ -35,7 +35,6 @@ from .model import (
     apply_permutation,
     block_rows,
     free_energy,
-    label_blocks,
     log_sum_exp,
     marginal_z_posterior,
     unit_inputs,
@@ -325,21 +324,11 @@ class OrderPass:
 
 def order_pass(params: ModelParams, X) -> OrderPass:
     """One `unit_inputs` pass over X and, for labeled models, one build of
-    the label weights over the row blocks of `model.label_blocks`: each
-    block is reduced to its rows of the marginal posterior's head and tail
-    and of log p(y | v) and dropped, so no (n, C, l+1) array is built."""
+    the label weights (`model.marginal_z_posterior`), which also gives
+    log p(y | v)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if not params.has_labels:
-        zp = marginal_z_posterior(params, X)
-        return OrderPass(params, zp, log_pstar(params, X, zp=zp), None)
-    n = X.shape[0]
-    zp = ZPosterior(np.empty((n, params.l + 1)), np.empty(n))
-    log_cond_y = np.empty((n, params.C))
-    for rows, joint in label_blocks(params, X, unit_inputs(params, X)):
-        block = joint.over_labels()
-        zp.head_log_weights[rows] = block.head_log_weights
-        zp.tail_log_mass[rows] = block.tail_log_mass
-        log_cond_y[rows] = joint.log_label_probs()
+    log_cond_y = np.empty((X.shape[0], params.C)) if params.has_labels else None
+    zp = marginal_z_posterior(params, X, log_cond_y=log_cond_y)
     return OrderPass(params, zp, log_pstar(params, X, zp=zp), log_cond_y)
 
 

@@ -8,11 +8,10 @@ All sums over z are therefore a finite head (z = 1..l+1) plus a geometric
 tail handled in closed form.
 
 Shared activations. `unit_inputs` is the only place a visible batch meets
-W (one GEMM). `z_posterior` and, label-free, `label_joint_log_weights`
-take its result as `A=`, so a caller holding it does not pay for the GEMM
-again. The callers that share are the trainer (`training.Trainer.update_step`,
-one pass per visible batch), the samplers in `sampling`, and
-`evaluation.order_pass`, one pass per ordering.
+W (one GEMM). `z_posterior`, `log_cond_y_given_v` and, label-free,
+`label_joint_log_weights` take its result as `A=`, so a caller holding it
+does not pay for the GEMM again: the trainer (`training.Trainer.update_step`,
+one pass per visible batch) and the samplers in `sampling`.
 
 Per-class weights. `label_joint_log_weights` gives a labeled batch's
 weights as an ordinary `ZPosterior` with a class axis: head (n, C, l+1),
@@ -23,11 +22,13 @@ thread), 26% of the 10.5 ms build, and the regroup statistic never reads it.
 
 Row blocks. Work whose rows do not depend on each other runs in blocks of
 rows sized by `BLOCK_CELLS` (`row_blocks`): the label weights, one
-`label_joint_log_weights` build per block (`label_blocks`), so no
-(n, C, l+1) array is built for a whole batch; the trainer's optimizer step
-and max-norm projection; and exact enumeration in `evaluation`, which keeps
-a floor of its own on the rows per block. Every GEMM and every sum over the
-rows of a batch still runs on the full arrays, so blocking moves no bit.
+`label_joint_log_weights` build per block (`label_blocks`, its one caller),
+so no (n, C, l+1) array is built for a whole batch; the trainer's optimizer
+step and max-norm projection; and exact enumeration in `evaluation`, which
+keeps a floor of its own on the rows per block. Every GEMM and every sum
+over the rows of a batch still runs on the full arrays, so blocking moves
+no bit. `marginal_z_posterior` reduces the label blocks to p(z | v) and,
+when asked, log p(y | v); `log_cond_y_given_v` to log p(y | v) alone.
 """
 
 from __future__ import annotations
@@ -451,21 +452,23 @@ def label_joint_log_weights(params: ModelParams, V, *, A=None) -> ZPosterior:
     return _z_weights(params, A[:, None, :] + params.U.T, params.d)
 
 
-def label_blocks(params: ModelParams, V, A):
+def label_blocks(params: ModelParams, V, A=None):
     """(rows, label_joint_log_weights of those rows) over the row blocks of
-    the batch V, whose label-free unit inputs are A: no (n, C, l+1) array is
-    built for the whole batch."""
+    the batch V, whose label-free unit inputs are A (computed when not
+    given): no (n, C, l+1) array is built for the whole batch."""
+    if not params.has_labels:
+        raise ValueError("model has no label weights")
+    A = unit_inputs(params, V) if A is None else A
     for rows in row_blocks(V.shape[0], (params.l + 1) * params.C):
         yield rows, label_joint_log_weights(params, V[rows], A=A[rows])
 
 
-def log_cond_y_given_v(params: ModelParams, v) -> np.ndarray:
-    """`ZPosterior.log_label_probs` of one vector (C,) or a batch (n, C)."""
-    if not params.has_labels:
-        raise ValueError("model has no label weights")
+def log_cond_y_given_v(params: ModelParams, v, *, A=None) -> np.ndarray:
+    """`ZPosterior.log_label_probs` of one vector (C,) or a batch (n, C).
+    A, when given, is the label-free unit_inputs(params, v)."""
     V, single = _as_batch(v)
     out = np.empty((V.shape[0], params.C))
-    for rows, joint in label_blocks(params, V, unit_inputs(params, V)):
+    for rows, joint in label_blocks(params, V, A):
         out[rows] = joint.log_label_probs()
     return out[0] if single else out
 
@@ -475,19 +478,22 @@ def cond_y_given_v(params: ModelParams, v) -> np.ndarray:
     return np.exp(log_cond_y_given_v(params, v))
 
 
-def marginal_z_posterior(params: ModelParams, v) -> ZPosterior:
+def marginal_z_posterior(params: ModelParams, v, *, log_cond_y=None) -> ZPosterior:
     """p(z | v) regardless of labels: for labeled models the classes are
     summed out, block by block over `label_blocks`; otherwise this is the
-    plain posterior."""
+    plain posterior. log_cond_y, when given, is an (n, C) array that
+    receives log p(y | v) of a labeled batch from the same blocks."""
     if not params.has_labels:
         return z_posterior(params, v)
     V, single = _as_batch(v)
     n = V.shape[0]
     head, tail = np.empty((n, params.l + 1)), np.empty(n)
-    for rows, joint in label_blocks(params, V, unit_inputs(params, V)):
+    for rows, joint in label_blocks(params, V):
         block = joint.over_labels()
         head[rows] = block.head_log_weights
         tail[rows] = block.tail_log_mass
+        if log_cond_y is not None:
+            log_cond_y[rows] = joint.log_label_probs()
     return ZPosterior(head[0], tail[0]) if single else ZPosterior(head, tail)
 
 

@@ -10,7 +10,8 @@ twice (the z draw, then the h draw), so each visible batch's
 
 - `draw_z`, `draw_h` and `gibbs_sweep` take it as `A=` (label term included
   when Y is given); `draw_y_given_vz` and `run_label_cd` take the label-free
-  inputs;
+  inputs, from which the y draw builds the label weights over
+  `model.label_blocks`;
 - `run_cd` takes the data batch's inputs from the caller (the trainer's
   positive phase computes them), `run_pcd` computes the particles' own;
 - the negative phases return the inputs of their end points in
@@ -33,7 +34,7 @@ from scipy.special import expit
 
 from .model import (
     ModelParams,
-    label_joint_log_weights,
+    label_blocks,
     unit_inputs,
     with_label_inputs,
     z_posterior,
@@ -126,8 +127,11 @@ def draw_y(params: ModelParams, H, rng) -> np.ndarray:
 def draw_y_given_vz(params: ModelParams, V, Z, rng, *, A=None) -> np.ndarray:
     """y ~ p(y | v, z) for each row (the label step of the clamped chain).
     A, when given, is the label-free unit_inputs(params, V)."""
-    head = label_joint_log_weights(params, V, A=A).head_log_weights
-    return _softmax_rows(head[np.arange(head.shape[0]), :, np.asarray(Z) - 1], rng)
+    Z = np.asarray(Z) - 1
+    logits = np.empty((Z.shape[0], params.C))
+    for rows, joint in label_blocks(params, V, A):
+        logits[rows] = joint.head_log_weights[np.arange(Z[rows].shape[0]), :, Z[rows]]
+    return _softmax_rows(logits, rng)
 
 
 def gibbs_sweep(params: ModelParams, V, Y, rng, *, A=None, zp=None):

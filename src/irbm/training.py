@@ -17,13 +17,12 @@ after the step, for the regroup statistic, which must read the updated
 parameters. CD-k thus makes k + 1 passes under `off` and `fixed` and k + 2
 under `adaptive`.
 
-The label pass (`grad_discriminative_exact`) builds the per-class weights
-of `model.label_joint_log_weights` once per batch, block by block over
-cache-sized row blocks (`model.row_blocks`), and each block is read by both
-the positive label draw, through p(y | v), and the exact discriminative
-gradient. The regroup statistic, the tail-pooled mode of
-`model.marginal_z_posterior`, runs over the same blocks for a labeled model;
-it is a second label pass, which only the adaptive schedule pays for.
+A label pass builds the per-class weights over cache-sized row blocks
+(`model.label_blocks`). The data batch's pass is `grad_discriminative_exact`,
+whose blocks also give the hybrid positive label draw its p(y | v), or
+else `model.log_cond_y_given_v`; the clamped label chain
+(`sampling.run_label_cd`) makes one per sweep, and the regroup statistic
+(`model.marginal_z_posterior`) one more, only under the adaptive schedule.
 No (n, C, l+1) array lives for a whole update. The optimizer step and the
 max-norm projection also run in row blocks. Every GEMM and every sum over
 the examples of a batch runs on the full arrays, so the blocking moves no
@@ -65,6 +64,7 @@ from .model import (
     ModelParams,
     ParamBundle,
     label_blocks,
+    log_cond_y_given_v,
     marginal_z_posterior,
     permute_units,
     row_blocks,
@@ -205,11 +205,19 @@ def _phase_term(params: ModelParams, V, Z, Y, visible_bias: bool, *,
     return g
 
 
-def _check_tokens(pos: PhaseSamples, neg: PhaseSamples):
+def _phase_difference(params: ModelParams, pos: PhaseSamples, neg: PhaseSamples,
+                      out, scratch, *, visible_bias: bool) -> Gradients:
+    """The phase term at pos minus the one at neg, into out (the negative
+    term into scratch); the phases must come from one parameter ordering."""
     if (pos.step_token is not None and neg.step_token is not None
             and pos.step_token != neg.step_token):
         raise ValueError("positive and negative phases come from different "
                          "parameter orderings")
+    gp = _phase_term(params, pos.v, pos.z, pos.y, visible_bias=visible_bias,
+                     A=pos.a, out=out)
+    gp -= _phase_term(params, neg.v, neg.z, neg.y, visible_bias=visible_bias,
+                      A=neg.a, out=scratch)
+    return gp
 
 
 def grad_generative(params: ModelParams, pos: PhaseSamples,
@@ -219,16 +227,11 @@ def grad_generative(params: ModelParams, pos: PhaseSamples,
     columns, when present, mean the phases run over the label-marginal model
     and carry sampled labels. out, when given, receives the gradient and
     scratch the negative term (bundles of params' shape, overwritten)."""
-    _check_tokens(pos, neg)
-    gp = _phase_term(params, pos.v, pos.z, pos.y, visible_bias=True, A=pos.a,
-                     out=out)
-    gp -= _phase_term(params, neg.v, neg.z, neg.y, visible_bias=True, A=neg.a,
-                      out=scratch)
-    return gp
+    return _phase_difference(params, pos, neg, out, scratch, visible_bias=True)
 
 
 def grad_discriminative_exact(params: ModelParams, V, Y, *, A=None,
-                              p_y=None, out=None) -> Gradients | None:
+                              p_y=None, out=None) -> Gradients:
     """Exact gradient of -mean log p(y | v) for the materialized units.
 
     Uses the closed form: the derivative of the per-class free energy has
@@ -237,37 +240,33 @@ def grad_discriminative_exact(params: ModelParams, V, Y, *, A=None,
     parameter beyond the pool keeps gradient zero. A, when given, is the
     label-free unit_inputs(params, V).
 
-    This is the trainer's one label pass over a batch. It builds the
+    It is the trainer's label pass over the data batch. It builds the
     per-class weights block by block (`model.label_blocks`) and reduces each
     block to its rows of p(y | v) and of the gradient's per-example terms;
     the GEMM and the sums over examples then run once on the full arrays.
     p_y, when given, is an (n, C) array that receives p(y | v), which the
-    positive label draw reads. With Y None only p_y is filled and None is
-    returned. out, when given, is a bundle of params' shape that receives
-    the gradient; every block of it is written.
+    hybrid objective's positive label draw reads. out, when given, is a
+    bundle of params' shape that receives the gradient; every block of it
+    is written.
     """
     if not params.has_labels:
         raise ValueError("discriminative gradient needs label weights")
     V = np.asarray(V, dtype=np.float64)
     n, l, C = V.shape[0], params.l, params.C
-    if Y is not None:
-        Y = np.asarray(Y, dtype=np.int64)
-        if Y.shape[0] != n:
-            raise ValueError("one label per example is required")
+    Y = np.asarray(Y, dtype=np.int64)
+    if Y.shape[0] != n:
+        raise ValueError("one label per example is required")
     if A is None:
         A = unit_inputs(params, V)
     if p_y is None:
         p_y = np.empty((n, C))
     dynamic = params.penalty.mode == "dynamic"
-    if Y is not None:
-        R = np.empty((n, C, l))
-        Q = np.empty((n, l))
-        Pg_diff = np.empty((n, l)) if dynamic else None
+    R = np.empty((n, C, l))
+    Q = np.empty((n, l))
+    Pg_diff = np.empty((n, l)) if dynamic else None
     for rows, joint in label_blocks(params, V, A):
         p = p_y[rows]
         np.exp(joint.log_label_probs(), out=p)
-        if Y is None:
-            continue
         P_geq = joint.p_z_geq()[..., :l]                     # (rows, C, l)
         del joint
         Rb = R[rows]
@@ -277,8 +276,6 @@ def grad_discriminative_exact(params: ModelParams, V, Y, *, A=None,
         Q[rows] = Rb[data] - np.einsum("ny,nyi->ni", p, Rb)
         if dynamic:
             Pg_diff[rows] = P_geq[data] - np.einsum("ny,nyi->ni", p, P_geq)
-    if Y is None:
-        return None
 
     coef = _one_hot(Y, C) - p_y                # (n, C)
     g = Gradients.zeros(params) if out is None else out
@@ -305,16 +302,10 @@ def grad_discriminative_sampled(params: ModelParams, V, Y, z_pos,
         raise ValueError("discriminative gradient needs label weights")
     pos = PhaseSamples(v=np.asarray(V, dtype=np.float64),
                        z=np.asarray(z_pos, dtype=np.int64),
-                       y=np.asarray(Y, dtype=np.int64),
-                       step_token=neg.step_token)
+                       y=np.asarray(Y, dtype=np.int64))
     if A is not None:
         pos.a = with_label_inputs(params, A, pos.y)
-    _check_tokens(pos, neg)
-    gp = _phase_term(params, pos.v, pos.z, pos.y, visible_bias=False, A=pos.a,
-                     out=out)
-    gp -= _phase_term(params, neg.v, neg.z, neg.y, visible_bias=False, A=neg.a,
-                      out=scratch)
-    return gp
+    return _phase_difference(params, pos, neg, out, scratch, visible_bias=False)
 
 
 def _mix_in_place(dis: Gradients, gen: Gradients, alpha: float,
@@ -648,15 +639,16 @@ class Trainer:
         z_pos_max = 0
         z_neg_max = 0
         A = unit_inputs(params, V)
-        # the one label pass: p(y | v) for the positive label draw and, with
-        # the exact discriminative gradient, that gradient
+        # the data batch's label pass: the exact discriminative gradient,
+        # which also gives the positive label draw its p(y | v), or else
+        # p(y | v) alone
         p_y = dis = None
-        exact_dis = cfg.objective != "generative" and cfg.dis_grad == "exact"
-        if params.has_labels and cfg.objective != "discriminative":
+        if cfg.objective != "generative" and cfg.dis_grad == "exact":
             p_y = np.empty((V.shape[0], params.C))
-        if exact_dis or p_y is not None:
-            dis = grad_discriminative_exact(params, V, Y if exact_dis else None,
-                                            A=A, p_y=p_y, out=work.dis)
+            dis = grad_discriminative_exact(params, V, Y, A=A, p_y=p_y,
+                                            out=work.dis)
+        elif params.has_labels and cfg.objective != "discriminative":
+            p_y = np.exp(log_cond_y_given_v(params, V, A=A))
 
         if cfg.objective in ("generative", "hybrid"):
             pos = self._positive_generative(V, t, A, p_y)

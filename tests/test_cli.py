@@ -11,6 +11,7 @@ from irbm.checkpoint import load_checkpoint
 from irbm.cli import build_parser, build_run_config, main, write_pgm
 from irbm.datasets import (
     Dataset,
+    binarize_stochastic,
     read_ibmp,
     synth_bars_and_stripes,
     synth_shifted_patterns,
@@ -615,3 +616,30 @@ class TestConvertDataset:
         assert set(back) == {"train", "test"}
         assert back["train"].n == 8
         assert back["test"].n_classes == 4
+
+    def test_npz_splits_draw_their_own_uniforms(self, tmp_path, capsys):
+        npz = tmp_path / "half.npz"
+        np.savez(npz, train_x=np.full((30, 7), 0.5), test_x=np.full((30, 7), 0.5))
+        out = tmp_path / "half.ibmp"
+        assert run(["convert-dataset", "--format", "npz", "--npz", npz,
+                    "--seed", 5, "--out", out]) == 0
+        back = read_ibmp(out)
+        # train keeps the bits of binarizing it alone; test does not repeat them
+        alone = binarize_stochastic(np.full((30, 7), 0.5), seed=5).X
+        assert np.array_equal(back["train"].X, alone)
+        assert not np.array_equal(back["test"].X, back["train"].X)
+
+    @pytest.mark.parametrize("arrays", [
+        dict(train_x=np.array([[np.nan, 0.5], [0.2, 0.4]])),
+        dict(train_x=np.array([[0.0, 1.0], [1.0, 0.0]]),
+             test_x=np.array([[0.5, np.nan]])),
+        dict(train_x=np.array([[0, 1], [1, 0], [1, 1]], dtype=np.uint8),
+             train_y=np.array([0.0, 1.7, 2.2])),
+    ])
+    def test_npz_nan_and_fractional_labels_rejected(self, tmp_path, capsys, arrays):
+        npz = tmp_path / "bad.npz"
+        np.savez(npz, **arrays)
+        out = tmp_path / "bad.ibmp"
+        assert run(["convert-dataset", "--format", "npz", "--npz", npz,
+                    "--out", out]) == 1
+        assert not out.exists()

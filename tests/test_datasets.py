@@ -17,6 +17,7 @@ from irbm.datasets import (
     synth_shifted_patterns,
     write_ibmp,
 )
+from irbm.rng import stream
 
 
 def write_idx_images(path, images):
@@ -94,6 +95,20 @@ class TestBinarize:
     def test_range_validated(self):
         with pytest.raises(ValueError):
             binarize_stochastic(np.array([[1.5]]), seed=0)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="intensities"):
+            binarize_stochastic(np.array([[np.nan, 0.5]]), seed=0)
+
+    def test_one_generator_gives_one_draw_over_the_concatenation(self):
+        a, b = np.full((6, 5), 0.5), np.full((4, 5), 0.5)
+        rng = stream(7, "binarize")
+        first = binarize_stochastic(a, seed=7, rng=rng).X
+        second = binarize_stochastic(b, seed=7, rng=rng).X
+        both = binarize_stochastic(np.concatenate([a, b]), seed=7).X
+        assert np.array_equal(first, both[:6])
+        assert np.array_equal(second, both[6:])
+        assert not np.array_equal(second, first[:4])
 
 
 class TestIbmp:
@@ -243,6 +258,20 @@ class TestDatasetValidation:
             ds = Dataset(X=X)
             assert ds.X.dtype == np.uint8
             assert ds.X.tolist() == [[0, 1, 1]]
+
+    def test_fractional_labels_rejected_not_truncated(self):
+        for y, match in (([0.0, 1.7, 2.2], "whole numbers"),
+                         ([0.0, np.nan, 1.0], "whole numbers"),
+                         ([0.0, np.inf, 1.0], "range")):
+            with pytest.raises(ValueError, match=match):
+                Dataset(X=np.zeros((3, 2), dtype=np.uint8), y=np.array(y),
+                        n_classes=3)
+
+    def test_whole_labels_of_any_dtype_accepted(self):
+        for y in (np.array([0, 2, 1], dtype=np.uint8), np.array([0.0, 2.0, 1.0])):
+            ds = Dataset(X=np.zeros((3, 2), dtype=np.uint8), y=y, n_classes=3)
+            assert ds.y.dtype == np.int32
+            assert ds.y.tolist() == [0, 2, 1]
 
     def test_label_range_checked(self):
         with pytest.raises(ValueError):

@@ -316,6 +316,26 @@ N_ROWS = 20
 LABEL_CELLS = (9 + 1) * 3
 
 
+def _trainer_label_probs(params, V, Y, overrides):
+    """(ordered model, p(y | v)) as the positive label draw of each of two
+    updates from params reads them."""
+    config = TrainConfig(minibatch_size=V.shape[0], regroup_mode="fixed",
+                         regroup_rho=0.7, global_lr=1.0, seed=11, **overrides)
+    trainer = Trainer(params.copy(), config, n_train=2 * V.shape[0])
+    seen = []
+    draw = trainer._positive_generative
+
+    def recorded(V, t, A, p_y):
+        seen.append((trainer.params.copy(), p_y.copy()))
+        return draw(V, t, A, p_y)
+
+    trainer._positive_generative = recorded
+    for _ in range(2):
+        trainer.update_step(V, Y)
+    assert len(seen) == 2
+    return seen
+
+
 class TestRowBlocks:
     """Blocking rows keeps every bit: label blocks of 1 row, of 7 rows (not a
     divisor of 20) and of all 20 rows give the same results, and so do
@@ -330,10 +350,13 @@ class TestRowBlocks:
         for rows in (1, 7, N_ROWS):
             monkeypatch.setattr(model, "BLOCK_CELLS", rows * LABEL_CELLS)
             assert next(model.row_blocks(N_ROWS, LABEL_CELLS)) == slice(0, rows)
-            p_y, p_alone = np.empty((N_ROWS, 3)), np.empty((N_ROWS, 3))
+            p_y = np.empty((N_ROWS, 3))
             g = training.grad_discriminative_exact(m, V, Y, p_y=p_y)
-            assert training.grad_discriminative_exact(m, V, None, p_y=p_alone) is None
-            assert np.array_equal(p_y, p_alone)
+            # without the exact gradient the trainer reads p(y | v) alone
+            for overrides in (dict(objective="generative"),
+                              dict(objective="hybrid", alpha=0.5, dis_grad="sampled")):
+                for ordered, p_trainer in _trainer_label_probs(m, V, Y, overrides):
+                    assert np.array_equal(p_trainer, model.cond_y_given_v(ordered, V))
             modes = model.marginal_z_posterior(m, V).mode(pool_tail=True)
             results.append((p_y, g, modes))
         # the one-shot build of the full (n, C, l+1) array
@@ -345,6 +368,20 @@ class TestRowBlocks:
             assert np.array_equal(p_y, results[0][0])
             assert same_bundle(g, results[0][1])
             assert np.array_equal(modes, results[0][2])
+
+    @pytest.mark.parametrize("dis_grad", ["exact", "sampled"])
+    def test_discriminative_update_builds_one_block_at_a_time(self, monkeypatch,
+                                                              dis_grad):
+        monkeypatch.setattr(model, "BLOCK_CELLS", 7 * LABEL_CELLS)
+        trainer = _trainer(True, objective="discriminative", dis_grad=dis_grad,
+                           cd_steps=2)
+        V, Y = _batch(labeled=True)
+        joint = _count_calls(monkeypatch, "label_joint_log_weights")
+        trainer.update_step(V, Y)
+        # three 7-row blocks per label pass: one for each of the label
+        # chain's two sweeps, and with the exact gradient one more
+        assert joint["n"] == 3 * (2 + (dis_grad == "exact"))
+        assert max(joint["rows"]) <= 7
 
     @pytest.mark.parametrize("mode", ["constant", "dynamic"])
     def test_order_pass(self, monkeypatch, mode):

@@ -562,6 +562,9 @@ def cmd_convert_dataset(args) -> int:
         if not args.npz:
             raise ValueError("--npz is required for npz conversion")
         payload = np.load(args.npz)
+        for key in payload.files:
+            if key.endswith(("_x", "_y")) and payload[key].size == 0:
+                raise ValueError(f"{key} is empty")
         splits = {}
         # non-binary splits draw in turn from one stream: no two share uniforms
         rng = stream(args.seed, "binarize")

@@ -18,6 +18,32 @@ long as BLAS computes a row of `V @ W.T` the same way for a block as for the
 whole matrix. OpenBLAS 0.3.31 does for every l up to 200 at these block
 sizes; at l >= 300, whose blocks shrink to `MIN_BLOCK_ROWS` rows, some
 entries move by one unit in the last place.
+
+Blocks of an unlabeled model with at least `UNIT_MAJOR_MIN_ROWS` rows
+(l < 128, D >= 8) run `_unit_major_log_pstar_all`, which holds the per-unit
+terms unit-major, (l+1, rows), in buffers allocated once per enumeration.
+Row-major, a visible vector's row is only 10-60 units long on the bars
+models, and numpy's per-row overhead, not arithmetic, is the cost: at 512
+rows x 61 units, `np.cumsum(axis=-1)` takes 123 us and the row maximum 55
+us, against 41 us for one `exp` over the same cells (Xeon, numpy 2.4).
+Each step gives the bits of `log_pstar` on the same block:
+
+- the GEMM is the row-major `V @ W.T` plus c, then one transposed copy; a
+  unit-major `W @ V.T` changes bits at some l (250, 300, 333 and 500 among
+  those tried);
+- softplus and the penalty are the same ufuncs in the same order, in
+  place; `max(x, 0) + t` in place of `t + max(x, 0)` is the same IEEE sum;
+- the cumulative sum over units is l-1 `np.add` calls on row views built
+  once, each adding the next unit to the running sum, as the sequential
+  `np.cumsum` does;
+- the maximum over z is taken along the unit axis: a maximum is exact in
+  any order;
+- the sum over z runs as `np.sum(axis=-1)` on a row-major copy, so numpy's
+  pairwise summation groups the terms as it does on each row of `log_pstar`.
+
+Labeled models and smaller blocks run `log_pstar` per block; it is also the
+reference the kernel is tested against. At the row floor the one call per
+unit of the cumulative sum costs more than the layout saves.
 """
 
 from __future__ import annotations
@@ -46,6 +72,9 @@ from .training import sample_permutation
 
 EXACT_D_CAP = 14
 MIN_BLOCK_ROWS = 2 ** 6
+# fewest rows per block for the unit-major kernel: at 128 rows it was
+# 10-25% slower than `log_pstar` per block for l = 128..200 (one BLAS thread)
+UNIT_MAJOR_MIN_ROWS = 2 ** 8
 
 
 def all_binary_vectors(D: int) -> np.ndarray:
@@ -83,9 +112,65 @@ def _visible_blocks(params: ModelParams):
 
 def _log_pstar_all(params: ModelParams) -> np.ndarray:
     """log_pstar of every visible vector, indexed by its binary number."""
+    rows = 2 ** _block_bits(params)
+    if not params.has_labels and rows >= UNIT_MAJOR_MIN_ROWS:
+        return _unit_major_log_pstar_all(params)
     lp = np.empty(2 ** params.D)
     for start, V in _visible_blocks(params):
-        lp[start:start + V.shape[0]] = log_pstar(params, V)
+        lp[start:start + rows] = log_pstar(params, V)
+    return lp
+
+
+def _unit_major_log_pstar_all(params: ModelParams) -> np.ndarray:
+    """log_pstar of every visible vector of an unlabeled model, with the
+    bits of `log_pstar` on each `_visible_blocks` block, from buffers
+    allocated once. The per-unit terms are held unit-major, (l+1, rows), so
+    the cumulative sum and the maximum over z run across whole rows of
+    cells instead of along each visible vector's short row; the module
+    docstring says why each step keeps its bits."""
+    l, R = params.l, 2 ** _block_bits(params)
+    lp = np.empty(2 ** params.D)
+    A = np.empty((R, l))                 # unit inputs, row-major as in BLAS
+    head = np.empty((l + 1, R))          # log weights of z = 1..l+1
+    tmp = np.empty((l, R))
+    w = np.empty((R, l + 1))             # shifted weights, row-major
+    base, m, tail, s = (np.empty(R) for _ in range(4))
+    T = head[:l]
+    z_rows = list(head)
+    penalties = params.unit_penalties()[:, None]
+    Wt = params.W.T
+    for start, V in _visible_blocks(params):
+        # A = unit_inputs(V), base = V.b_v
+        np.matmul(V, Wt, out=A)
+        A += params.c
+        np.matmul(V, params.b_v, out=base)
+        np.copyto(T, A.T)
+        # softplus(A) - beta: the steps of model.softplus, in place
+        np.abs(T, out=tmp)
+        np.negative(tmp, out=tmp)
+        np.exp(tmp, out=tmp)
+        np.log1p(tmp, out=tmp)
+        np.maximum(T, 0.0, out=T)
+        T += tmp
+        T -= penalties
+        # cumulative sum over units, one unit after the other as np.cumsum
+        for prev, cur in zip(z_rows[:l - 1], z_rows[1:l]):
+            np.add(prev, cur, out=cur)
+        np.add(z_rows[l - 1], params.penalty.log_tail_ratio, out=z_rows[l])
+        head += base
+        np.add(z_rows[l], params.penalty.log_tail_geometric_sum, out=tail)
+        # log_sum_exp(head, tail) over z
+        np.max(head, axis=0, out=m)
+        np.maximum(m, tail, out=m)
+        m[~np.isfinite(m)] = 0.0
+        np.subtract(head.T, m[:, None], out=w)
+        np.exp(w, out=w)
+        np.sum(w, axis=-1, out=s)
+        tail -= m
+        np.exp(tail, out=tail)
+        s += tail
+        np.log(s, out=s)
+        np.add(m, s, out=lp[start:start + R])
     return lp
 
 
@@ -438,11 +523,12 @@ def converted_rbm_loglik(params: ModelParams, X, n_h: int,
 
 @dataclass
 class EvalReport:
-    """The evaluation record of a dataset, serializable to JSON. With m >= 2
-    and n_perms > 1, avg_loglik, classification_error and (for a labeled
-    model scored with labels) z_m_histogram come from averages over n_perms
-    sampled orderings; avg_cond_loglik, n_h, log_z and the unlabeled
-    z_m_histogram always use the model's own order."""
+    """The evaluation record of a dataset, serializable to JSON. n_perms is
+    the number of orderings averaged: with n_perms > 1, avg_loglik,
+    classification_error and (for a labeled model scored with labels)
+    z_m_histogram come from averages over n_perms sampled orderings;
+    avg_cond_loglik, n_h, log_z and the unlabeled z_m_histogram always use
+    the model's own order."""
 
     avg_loglik: float | None = None
     avg_cond_loglik: float | None = None
@@ -516,13 +602,15 @@ def full_report(params: ModelParams, X, Y=None, n_perms: int = 1, m: int = 0,
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if rng is None:
         rng = np.random.default_rng(0)
-    report = EvalReport(n_perms=n_perms)
+    # below two units to permute or with one ordering requested, only the
+    # model's own order is read
+    report = EvalReport(n_perms=n_perms if n_perms > 1 and m >= 2 else 1)
     ev = order_pass(params, X)
     report.n_h = effective_hidden_size(params, X, minibatch_size, zp=ev.zp)
     report.method, log_z = log_partition_estimator(params, X, rng, cap,
                                                    ais_temps, ais_chains)
     report.log_z, report.log_z_std_err = log_z(params)
-    if n_perms > 1 and m >= 2:
+    if report.n_perms > 1:
         report.avg_loglik = permutation_averaged_loglik(
             params, X, n_perms, rng, m=m, log_z=log_z)
     else:

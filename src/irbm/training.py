@@ -131,6 +131,9 @@ class TrainConfig:
         for name in ("lr_half_life", "w_bound", "u_bound"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError("seed must be in [0, 2**64), the range a "
+                             "checkpoint stores")
         if self.cd_steps < 1:
             raise ValueError("cd_steps must be >= 1")
         if self.minibatch_size < 1:

@@ -268,7 +268,8 @@ class TestRunConfig:
         "global_lr=nan",
         "lr_half_life=nan", "alpha=nan", "l1_weight=nan", "l2_weight=nan",
         "w_bound=nan", "u_bound=nan", "global_lr=inf", "alpha=inf",
-        "l1_weight=inf", "l2_weight=inf", "beta=nan", "beta=inf", "beta=1.0"])
+        "l1_weight=inf", "l2_weight=inf", "beta=nan", "beta=inf", "beta=1.0",
+        "seed=-1", f"seed={2 ** 64}"])
     def test_bad_setting_rejected_before_any_epoch(self, tmp_path, capsys, setting):
         out = tmp_path / "run"
         code = run(["train", "--dataset", "bars:side=3,n=60,seed=1",
@@ -276,6 +277,13 @@ class TestRunConfig:
         assert code == 1
         assert f"error: {setting.split('=')[0]} must be" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_largest_storable_seed_trains_and_saves(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["train", "--dataset", "bars:side=3,n=60,seed=1",
+                    "--out-dir", out, "--epochs", 1,
+                    "--set", f"seed={2 ** 64 - 1}"]) == 0
+        assert load_checkpoint(out / "checkpoint.irbm").seed == 2 ** 64 - 1
 
     def test_meaningful_infinities_validate(self):
         # inf means no learning-rate decay and no max-norm clipping
@@ -437,6 +445,18 @@ class TestEval:
         total = sum(int(line.split(",")[1]) for line in hist[2:])
         assert total == 60
 
+
+    def test_perms_without_a_regroup_length_report_one_ordering(
+            self, tmp_path, capsys):
+        out = train_small(tmp_path, epochs=2)
+        code = run(["eval", out / "checkpoint.irbm", "bars:side=3,n=60,seed=2",
+                    "--split", "train", "--perms", 2,
+                    "--out", tmp_path / "report.json"])
+        assert code == 0
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["perm_length"] == 0
+        assert payload["n_perms"] == 1
+        assert "single_order_loglik" not in payload
 
     def test_exact_cap_above_default_reaches_the_permutation_averages(
             self, tmp_path, capsys):
@@ -642,4 +662,20 @@ class TestConvertDataset:
         out = tmp_path / "bad.ibmp"
         assert run(["convert-dataset", "--format", "npz", "--npz", npz,
                     "--out", out]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("empty", ["test_x", "test_y"])
+    def test_npz_empty_split_rejected_by_name(self, tmp_path, capsys, empty):
+        rng = np.random.default_rng(4)
+        arrays = dict(train_x=(rng.random((6, 4)) < 0.5).astype(np.uint8),
+                      train_y=rng.integers(0, 3, 6),
+                      test_x=(rng.random((2, 4)) < 0.5).astype(np.uint8),
+                      test_y=rng.integers(0, 3, 2))
+        arrays[empty] = arrays[empty][:0]
+        npz = tmp_path / "empty.npz"
+        np.savez(npz, **arrays)
+        out = tmp_path / "empty.ibmp"
+        assert run(["convert-dataset", "--format", "npz", "--npz", npz,
+                    "--out", out]) == 1
+        assert f"error: {empty} is empty" in capsys.readouterr().err
         assert not out.exists()

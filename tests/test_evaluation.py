@@ -26,7 +26,12 @@ from irbm.evaluation import (
     log_pstar,
     permutation_averaged_loglik,
 )
-from irbm.evaluation import _block_bits, _visible_blocks
+from irbm.evaluation import (
+    UNIT_MAJOR_MIN_ROWS,
+    _block_bits,
+    _unit_major_log_pstar_all,
+    _visible_blocks,
+)
 from irbm.model import (
     LN2,
     ModelParams,
@@ -436,6 +441,19 @@ class TestFullReport:
         assert report.log_z_std_err is None
         assert math.isfinite(report.avg_loglik)
 
+    @pytest.mark.parametrize("n_perms,m,averaged", [
+        (3, 0, 1), (3, 1, 1), (1, 3, 1), (3, 2, 3)])
+    def test_n_perms_counts_the_orderings_averaged(self, n_perms, m, averaged):
+        model = make_model(418, D=4, l=3, C=2)
+        X = random_binary(73, 12, 4)
+        Y = (np.arange(12) % 2).astype(int)
+        report = full_report(model, X, Y, n_perms=n_perms, m=m,
+                             rng=stream(74, "report"))
+        assert report.n_perms == averaged
+        if averaged == 1:
+            single = float(np.mean(log_pstar(model, X))) - report.log_z
+            assert report.avg_loglik == single
+
     def test_json_roundtrip(self):
         import json
         report = EvalReport(avg_loglik=-1.5, n_h=3, method="exact",
@@ -466,9 +484,25 @@ ENUM_CASES = [(D, kind) for kind in sorted(ENUM_KINDS) for D in ENUM_DIMS
 BLOCK_ALLOWANCE = 8 * 2 ** 20
 
 
+# unlabeled models the unit-major kernel must also agree with: the ENUM_CASES
+# kinds without labels, one materialized unit, and weights so large that
+# log weights differ by thousands of nats (scale 400) or overflow to +inf
+# (scale 1e307)
+KERNEL_EXTRA = {
+    "one-unit": (0, "constant", 1, 0.5),
+    "large": (0, "dynamic", 17, 400.0),
+    "overflow": (0, "constant", 17, 1e307),
+}
+KERNEL_CASES = ([(D, kind) for D, kind in ENUM_CASES if ENUM_KINDS[kind][0] == 0]
+                + [(D, kind) for kind in sorted(KERNEL_EXTRA) for D in (1, 9, 11)])
+
+
 def enum_model(D, kind):
-    C, mode, l = ENUM_KINDS[kind]
-    return make_model(900 + D, D=D, l=l, C=C, scale=0.5, mode=mode)
+    if kind in KERNEL_EXTRA:
+        C, mode, l, scale = KERNEL_EXTRA[kind]
+    else:
+        (C, mode, l), scale = ENUM_KINDS[kind], 0.5
+    return make_model(900 + D, D=D, l=l, C=C, scale=scale, mode=mode)
 
 
 def one_shot_log_pstar(m):
@@ -494,6 +528,33 @@ class TestBlockEnumeration:
             assert V.shape == (2 ** _block_bits(m), D)
             rows.append(V.copy())
         assert np.array_equal(np.vstack(rows), all_binary_vectors(D))
+
+    @pytest.mark.parametrize("D,kind", KERNEL_CASES)
+    def test_kernel_matches_generic_blocks_bitwise(self, D, kind):
+        m = enum_model(D, kind)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.concatenate([log_pstar(m, V) for _, V in _visible_blocks(m)])
+            got = _unit_major_log_pstar_all(m)
+        assert np.array_equal(got, want, equal_nan=True)
+        if kind == "overflow" and D > 1:
+            assert np.isposinf(got).any() and np.isfinite(got).any()
+
+    def test_unlabeled_enumeration_takes_the_kernel(self, monkeypatch):
+        # so the one-shot comparisons below reach the kernel through
+        # exact_log_partition; labeled models and blocks at the row floor
+        # keep the per-block log_pstar
+        kinds = set()
+        kernel = _unit_major_log_pstar_all
+
+        def traced(m):
+            kinds.add(kind)
+            return kernel(m)
+
+        monkeypatch.setattr("irbm.evaluation._unit_major_log_pstar_all", traced)
+        for D, kind in ENUM_CASES:
+            exact_log_partition(enum_model(D, kind), cap=16)
+        assert kinds == {"plain", "dynamic"}
+        assert 2 ** _block_bits(enum_model(16, "wide")) < UNIT_MAJOR_MIN_ROWS
 
     def test_dims_straddle_the_block_width(self):
         # the cases above include D below the low-bit width and D that is

@@ -562,9 +562,14 @@ def cmd_convert_dataset(args) -> int:
         if not args.npz:
             raise ValueError("--npz is required for npz conversion")
         payload = np.load(args.npz)
-        for key in payload.files:
-            if key.endswith(("_x", "_y")) and payload[key].size == 0:
-                raise ValueError(f"{key} is empty")
+        # every split's labels set n_classes; each array is read once
+        labels = {split: payload[f"{split}_y"] for split in ("train", "valid", "test")
+                  if f"{split}_y" in payload}
+        for split, y in labels.items():
+            if y.size == 0:
+                raise ValueError(f"{split}_y is empty")
+        n_classes = (int(max(y.max() for y in labels.values()) + 1)
+                     if labels else 0)
         splits = {}
         # non-binary splits draw in turn from one stream: no two share uniforms
         rng = stream(args.seed, "binarize")
@@ -573,7 +578,9 @@ def cmd_convert_dataset(args) -> int:
             if key not in payload:
                 continue
             X = payload[key]
-            y = payload.get(f"{split}_y")
+            y = labels.get(split)
+            if X.size == 0:
+                raise ValueError(f"{key} is empty")
             if not (X.min() >= 0 and X.max() <= 1):   # NaN fails
                 raise ValueError(f"{key} must be binary or in [0, 1]")
             if np.array_equal(X, X.astype(np.uint8)):
@@ -581,11 +588,9 @@ def cmd_convert_dataset(args) -> int:
             else:
                 bits = binarize_stochastic(X.reshape(X.shape[0], -1),
                                            seed=args.seed, rng=rng).X
-            n_classes = int(max(payload[f"{s}_y"].max() for s in
-                                ("train", "valid", "test")
-                                if f"{s}_y" in payload) + 1) if y is not None else 0
             splits[split] = Dataset(X=bits.reshape(bits.shape[0], -1), y=y,
-                                    n_classes=n_classes, split=split)
+                                    n_classes=n_classes if y is not None else 0,
+                                    split=split)
         if not splits:
             raise ValueError("npz holds no train_x/valid_x/test_x arrays")
         write_ibmp(out, splits)

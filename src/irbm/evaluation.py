@@ -19,9 +19,8 @@ whole matrix. OpenBLAS 0.3.31 does for every l up to 200 at these block
 sizes; at l >= 300, whose blocks shrink to `MIN_BLOCK_ROWS` rows, some
 entries move by one unit in the last place.
 
-Blocks of an unlabeled model with at least `UNIT_MAJOR_MIN_ROWS` rows
-(l < 128, D >= 8) run `_unit_major_log_pstar_all`, which holds the per-unit
-terms unit-major, (l+1, rows), in buffers allocated once per enumeration.
+An unlabeled model is enumerated by `_unit_major_log_pstar_all`, which
+holds the per-unit terms unit-major, (l+1, rows), in buffers allocated once per enumeration.
 Row-major, a visible vector's row is only 10-60 units long on the bars
 models, and numpy's per-row overhead, not arithmetic, is the cost: at 512
 rows x 61 units, `np.cumsum(axis=-1)` takes 123 us and the row maximum 55
@@ -41,9 +40,8 @@ Each step gives the bits of `log_pstar` on the same block:
 - the sum over z runs as `np.sum(axis=-1)` on a row-major copy, so numpy's
   pairwise summation groups the terms as it does on each row of `log_pstar`.
 
-Labeled models and smaller blocks run `log_pstar` per block; it is also the
-reference the kernel is tested against. At the row floor the one call per
-unit of the cumulative sum costs more than the layout saves.
+Labeled models run `log_pstar` per block; it is also the reference the
+kernel is tested against.
 """
 
 from __future__ import annotations
@@ -72,9 +70,6 @@ from .training import sample_permutation
 
 EXACT_D_CAP = 14
 MIN_BLOCK_ROWS = 2 ** 6
-# fewest rows per block for the unit-major kernel: at 128 rows it was
-# 10-25% slower than `log_pstar` per block for l = 128..200 (one BLAS thread)
-UNIT_MAJOR_MIN_ROWS = 2 ** 8
 
 
 def all_binary_vectors(D: int) -> np.ndarray:
@@ -112,12 +107,11 @@ def _visible_blocks(params: ModelParams):
 
 def _log_pstar_all(params: ModelParams) -> np.ndarray:
     """log_pstar of every visible vector, indexed by its binary number."""
-    rows = 2 ** _block_bits(params)
-    if not params.has_labels and rows >= UNIT_MAJOR_MIN_ROWS:
+    if not params.has_labels:
         return _unit_major_log_pstar_all(params)
     lp = np.empty(2 ** params.D)
     for start, V in _visible_blocks(params):
-        lp[start:start + rows] = log_pstar(params, V)
+        lp[start:start + V.shape[0]] = log_pstar(params, V)
     return lp
 
 

@@ -679,3 +679,12 @@ class TestConvertDataset:
                     "--out", out]) == 1
         assert f"error: {empty} is empty" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_npz_empty_array_the_converter_never_reads_ignored(self, tmp_path):
+        npz = tmp_path / "extra.npz"
+        bits = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+        np.savez(npz, train_x=bits, extra_x=bits[:0])
+        out = tmp_path / "extra.ibmp"
+        assert run(["convert-dataset", "--format", "npz", "--npz", npz,
+                    "--out", out]) == 0
+        assert np.array_equal(read_ibmp(out)["train"].X, bits)

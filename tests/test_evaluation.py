@@ -27,7 +27,6 @@ from irbm.evaluation import (
     permutation_averaged_loglik,
 )
 from irbm.evaluation import (
-    UNIT_MAJOR_MIN_ROWS,
     _block_bits,
     _unit_major_log_pstar_all,
     _visible_blocks,
@@ -541,8 +540,7 @@ class TestBlockEnumeration:
 
     def test_unlabeled_enumeration_takes_the_kernel(self, monkeypatch):
         # so the one-shot comparisons below reach the kernel through
-        # exact_log_partition; labeled models and blocks at the row floor
-        # keep the per-block log_pstar
+        # exact_log_partition; labeled models keep the per-block log_pstar
         kinds = set()
         kernel = _unit_major_log_pstar_all
 
@@ -553,8 +551,7 @@ class TestBlockEnumeration:
         monkeypatch.setattr("irbm.evaluation._unit_major_log_pstar_all", traced)
         for D, kind in ENUM_CASES:
             exact_log_partition(enum_model(D, kind), cap=16)
-        assert kinds == {"plain", "dynamic"}
-        assert 2 ** _block_bits(enum_model(16, "wide")) < UNIT_MAJOR_MIN_ROWS
+        assert kinds == {k for k, (C, _, _) in ENUM_KINDS.items() if C == 0}
 
     def test_dims_straddle_the_block_width(self):
         # the cases above include D below the low-bit width and D that is

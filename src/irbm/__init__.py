@@ -27,7 +27,6 @@ from .training import (
     grad_discriminative_exact,
     grad_discriminative_sampled,
     grad_generative,
-    hybrid_gradient,
     regroup_schedule_update,
     sample_permutation,
 )

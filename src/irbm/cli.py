@@ -71,6 +71,8 @@ class RunConfig:
             raise ValueError("ais_temps must be >= 2")
         if self.ais_chains < 1:
             raise ValueError("ais_chains must be >= 1")
+        if self.exact_cap < 0:
+            raise ValueError("exact_cap must be >= 0 (0: always AIS)")
         PenaltyConfig(self.beta, self.penalty_mode)
         self.train.validate()
         return self

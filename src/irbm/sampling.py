@@ -92,16 +92,26 @@ def draw_z(params: ModelParams, V, Y, rng, *, A=None, zp=None) -> np.ndarray:
 
 def draw_h(params: ModelParams, V, Z, Y, rng, *, A=None) -> np.ndarray:
     """h ~ p(h | v, z [, y]) as an (n, l+1) binary array; units above the
-    cutoff are zero, and the l+1'th unit (zero parameters) has mean 1/2."""
+    cutoff are zero, and the l+1'th unit (zero parameters) has mean 1/2.
+
+    Means and comparisons are computed only for the units below max(Z); the
+    others are off in every row and stay zero. The uniforms are drawn for
+    all (n, l+1) entries, so the generator advances as if every unit were
+    compared and the stream does not depend on Z.
+    """
     n = V.shape[0]
     l = params.l
     if A is None:
         A = unit_inputs(params, V, Y)
-    means = np.empty((n, l + 1))
-    expit(A, out=means[:, :l])
-    means[:, l] = 0.5
-    mask = np.arange(l + 1)[None, :] < np.asarray(Z)[:, None]
-    return ((rng.random((n, l + 1)) < means) & mask).astype(np.float64)
+    Z = np.asarray(Z)
+    K = int(Z.max(initial=0))
+    u = rng.random((n, l + 1))
+    means = np.empty((n, K))
+    expit(A[:, :min(K, l)], out=means[:, :l])
+    means[:, l:] = 0.5
+    H = np.zeros((n, l + 1))
+    H[:, :K] = (u[:, :K] < means) & (np.arange(K)[None, :] < Z[:, None])
+    return H
 
 
 def draw_v(params: ModelParams, H, rng) -> np.ndarray:

@@ -49,6 +49,33 @@ on the heap's history: on seed 3701 the old code took 2.3k faults per
 episode but held about 20 MB more. Every in-place operation is the IEEE
 operation of the expression it replaced, on the same operands, so no bit
 moves.
+
+Cutoff-bounded phase statistics. A unit at or above a row's cutoff z adds
+nothing to that row's statistics: its column of S = sigmoid(A) * mask is
++0.0. So the W and U rows of a phase term from the phase's largest z up are
+sums of +0.0 products (visible units and one-hot labels are >= 0), -0.0
+once negated and divided by n, and the gradient there is -0.0 - (-0.0) =
++0.0. `_phase_difference` takes K = the largest z of both phases, runs both
+phases' `-(S.T @ V) / n` products on rows [:K] only, subtracts those rows
+and writes +0.0 into the rest; on `digits784-gen` K is 13 of l = 500 at the
+median (quartiles 10 and 25). The bounded rows equal the full product's bit
+for bit only while BLAS computes them the same way, so a product runs in
+full unless it stays matrix-matrix and short (`_product_rows`): numpy sends
+a one-row or one-column product to the matrix-vector routine, whose sums
+differ from the GEMM's, so K is raised to 2 and a block one column wide (D
+or C of 1) is not bounded; and a batch above `BOUNDED_MAX_BATCH` rows is
+not bounded, because OpenBLAS splits a longer sum over the batch into
+blocks except in the small-matrix kernel that a few-row product takes (with
+its SkylakeX kernels and one thread, rows changed from 385 examples up).
+These are facts of one BLAS thread, the benchmark's setting. With several
+threads OpenBLAS picks its split from a product's shape, so a GEMM's bits
+already depend on the thread count (at D = 784, n = 1000 one and two
+threads give different products), and a bounded product can differ from the
+full one in its last bits (seen at D = 100, n = 200, l = 64 with two
+threads). `draw_v`'s `H @ W` is not bounded: it sums over the units, and
+shortening that sum changed bits at D = 784 for K >= 300 and at D = 100 for
+K = 11 (n = 2) and 64 (n = 100). `sampling.draw_h` is bounded the same way,
+elementwise, so it needs no guard.
 """
 
 from __future__ import annotations
@@ -140,6 +167,10 @@ class TrainConfig:
             raise ValueError("minibatch_size must be >= 1")
         if self.n_chains is not None and self.n_chains < 1:
             raise ValueError("n_chains must be None (minibatch_size) or >= 1")
+        for name in ("adaptive_switch_epoch", "momentum_ramp_updates"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be None (automatic) or >= 0")
         if self.regroup_mode not in ("off", "fixed", "adaptive"):
             raise ValueError("regroup_mode must be off, fixed or adaptive")
         if not 0.0 <= self.regroup_rho <= 0.9:
@@ -173,14 +204,33 @@ def _neg_mean_product(S, M, n: int, out: np.ndarray):
     out /= n
 
 
+# Largest batch whose phase products are bounded. OpenBLAS splits a longer
+# sum over the batch into k-blocks (384 rows with its SkylakeX kernels), but
+# not in the small-matrix kernel that a product of few rows may take, so the
+# bounded rows would round differently from the full product's.
+BOUNDED_MAX_BATCH = 256
+
+
+def _product_rows(block: np.ndarray, rows: int, n: int) -> int:
+    """How many leading rows of a W or U phase product over n examples to
+    compute: `rows` (at least 2) while the bounded product stays
+    matrix-matrix and short enough, all of them otherwise."""
+    if block.shape[1] < 2 or n > BOUNDED_MAX_BATCH:
+        return block.shape[0]
+    return min(max(rows, 2), block.shape[0])
+
+
 def _phase_term(params: ModelParams, V, Z, Y, visible_bias: bool, *,
-                A=None, out=None) -> Gradients:
+                rows: int, A=None, out=None) -> Gradients:
     """Average of the per-example free-energy derivative over one phase.
 
     With a label column the derivative is of F(v, y, z); visible_bias=False
     drops the b_v component, giving the derivative of G(y, z | v). A, when
     given, is unit_inputs(params, V, Y). out, when given, is a bundle of
-    params' shape that receives the term; every block of it is written.
+    params' shape that receives the term. rows is at least every z: the W
+    and U products run on their first `_product_rows` rows, which may leave
+    rows from `rows` up unwritten for the caller (see "Cutoff-bounded phase
+    statistics" above); every other block is written.
     """
     V = np.asarray(V, dtype=np.float64)
     Z = np.asarray(Z, dtype=np.int64)
@@ -190,7 +240,8 @@ def _phase_term(params: ModelParams, V, Z, Y, visible_bias: bool, *,
     mask = (np.arange(l)[None, :] < Z[:, None]).astype(np.float64)
     S = expit(A) * mask
     g = Gradients.zeros(params) if out is None else out
-    _neg_mean_product(S, V, n, g.W)
+    k = _product_rows(g.W, rows, n)
+    _neg_mean_product(S[:, :k], V, n, g.W[:k])
     g.c[:] = -S.mean(axis=0)
     if params.penalty.mode == "dynamic":
         g.c += params.penalty.beta * expit(params.c) * mask.mean(axis=0)
@@ -200,7 +251,8 @@ def _phase_term(params: ModelParams, V, Z, Y, visible_bias: bool, *,
         g.b_v.fill(0.0)
     if Y is not None:
         E = _one_hot(np.asarray(Y, dtype=np.int64), params.C)
-        _neg_mean_product(S, E, n, g.U)
+        k = _product_rows(g.U, rows, n)
+        _neg_mean_product(S[:, :k], E, n, g.U[:k])
         g.d[:] = -E.mean(axis=0)
     elif g.U is not None:
         g.U.fill(0.0)
@@ -211,15 +263,22 @@ def _phase_term(params: ModelParams, V, Z, Y, visible_bias: bool, *,
 def _phase_difference(params: ModelParams, pos: PhaseSamples, neg: PhaseSamples,
                       out, scratch, *, visible_bias: bool) -> Gradients:
     """The phase term at pos minus the one at neg, into out (the negative
-    term into scratch); the phases must come from one parameter ordering."""
+    term into scratch); the phases must come from one parameter ordering.
+    The W and U rows from the largest cutoff of both phases up are +0.0
+    without a product (see "Cutoff-bounded phase statistics" above)."""
     if (pos.step_token is not None and neg.step_token is not None
             and pos.step_token != neg.step_token):
         raise ValueError("positive and negative phases come from different "
                          "parameter orderings")
+    K = max(int(np.max(pos.z)), int(np.max(neg.z)))
     gp = _phase_term(params, pos.v, pos.z, pos.y, visible_bias=visible_bias,
-                     A=pos.a, out=out)
-    gp -= _phase_term(params, neg.v, neg.z, neg.y, visible_bias=visible_bias,
-                      A=neg.a, out=scratch)
+                     A=pos.a, out=out, rows=K)
+    gn = _phase_term(params, neg.v, neg.z, neg.y, visible_bias=visible_bias,
+                     A=neg.a, out=scratch, rows=K)
+    for name, a in gp.blocks():
+        k = K if a.ndim == 2 else a.shape[0]
+        a[:k] -= getattr(gn, name)[:k]
+        a[k:] = 0.0
     return gp
 
 
@@ -322,19 +381,6 @@ def _mix_in_place(dis: Gradients, gen: Gradients, alpha: float,
     gen *= alpha
     dis += gen
     return dis
-
-
-def hybrid_gradient(dis: Gradients, gen: Gradients, alpha: float,
-                    convention: str = "paper") -> Gradients:
-    """Mix of the discriminative and generative gradients.
-
-    Two named weightings: 'paper' applies (1+alpha) and alpha, 'larochelle'
-    applies 1 and alpha. With a label-marginal generative part the two
-    describe the same family of objectives up to a rescaling of alpha.
-    dis and gen are left as they are: the trainer's in-place mix runs on
-    copies of them.
-    """
-    return _mix_in_place(dis.copy(), gen.copy(), alpha, convention)
 
 
 @dataclass

@@ -269,7 +269,8 @@ class TestRunConfig:
         "lr_half_life=nan", "alpha=nan", "l1_weight=nan", "l2_weight=nan",
         "w_bound=nan", "u_bound=nan", "global_lr=inf", "alpha=inf",
         "l1_weight=inf", "l2_weight=inf", "beta=nan", "beta=inf", "beta=1.0",
-        "seed=-1", f"seed={2 ** 64}"])
+        "seed=-1", f"seed={2 ** 64}", "exact_cap=-1", "adaptive_switch_epoch=-3",
+        "momentum_ramp_updates=-5"])
     def test_bad_setting_rejected_before_any_epoch(self, tmp_path, capsys, setting):
         out = tmp_path / "run"
         code = run(["train", "--dataset", "bars:side=3,n=60,seed=1",
@@ -277,6 +278,20 @@ class TestRunConfig:
         assert code == 1
         assert f"error: {setting.split('=')[0]} must be" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_zero_cap_switch_epoch_and_ramp_train(self, tmp_path, capsys):
+        # 0 keeps its meaning: always AIS, adaptive from the first epoch end,
+        # full momentum from the first update
+        out = tmp_path / "run"
+        assert run(["train", "--dataset", "bars:side=3,n=60,seed=1",
+                    "--out-dir", out, "--epochs", 2, "--set", "exact_cap=0",
+                    "--set", "regroup_mode=adaptive", "--set", "adaptive_switch_epoch=0",
+                    "--set", "momentum_ramp_updates=0", "--set", "eval_every=1",
+                    "--set", "ais_temps=20", "--set", "ais_chains=10"]) == 0
+        rows = (out / "metrics.csv").read_text().splitlines()[2:]
+        assert len(rows) == 2
+        assert all(np.isfinite(float(row.split(",")[1])) for row in rows)
+        assert load_checkpoint(out / "checkpoint.irbm").regroup.phase == "adaptive"
 
     def test_largest_storable_seed_trains_and_saves(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 from scipy.stats import chisquare
 
 import oracles
 from conftest import make_model, random_binary
-from irbm.model import ModelParams, cond_y_given_v, z_posterior, zero_model
+from irbm.model import ModelParams, cond_y_given_v, unit_inputs, z_posterior, zero_model
 from irbm.rng import stream
 from irbm.sampling import (
     FantasyChains,
+    draw_h,
     draw_y_given_vz,
     draw_z,
     gibbs_sweep,
@@ -218,3 +220,33 @@ class TestNegativePhases:
         neg, updated = run_pcd(m, chains, 3, stream(20, "joint-run"))
         assert updated.y is not None
         assert neg.y.shape == (50,)
+
+
+class TestCutoffBoundedDraw:
+    """draw_h compares only the units below max(Z), yet gives the bytes of
+    the full formula and leaves the generator where the full draw does."""
+
+    @pytest.mark.parametrize("pattern", ["all-1", "mixed", "all-l", "all-l+1"])
+    @pytest.mark.parametrize("labeled", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 100])
+    @pytest.mark.parametrize("D", [1, 5, 784])
+    def test_bytes_and_generator_state(self, D, n, labeled, pattern):
+        l = 500
+        m = make_model(130 + D, D=D, l=l, C=3 if labeled else 0, scale=0.05)
+        data = np.random.default_rng([D, n])
+        V = (data.random((n, D)) < 0.5).astype(np.float64)
+        Y = data.integers(0, 3, n) if labeled else None
+        Z = {"all-1": np.ones(n, dtype=np.int64), "mixed": data.integers(1, 30, n),
+             "all-l": np.full(n, l), "all-l+1": np.full(n, l + 1)}[pattern]
+        A = unit_inputs(m, V, Y)
+
+        rng, ref_rng = stream(140, "bounded-h"), stream(140, "bounded-h")
+        H = draw_h(m, V, Z, Y, rng, A=A)
+        means = np.empty((n, l + 1))
+        means[:, :l] = expit(A)
+        means[:, l] = 0.5
+        mask = np.arange(l + 1)[None, :] < Z[:, None]
+        ref = ((ref_rng.random((n, l + 1)) < means) & mask).astype(np.float64)
+        assert H.tobytes() == ref.tobytes()
+        assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+        assert H.tobytes() == draw_h(m, V, Z, Y, stream(140, "bounded-h")).tobytes()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import oracles
 from conftest import make_model, random_binary, same_bundle
@@ -8,7 +9,7 @@ from irbm.evaluation import (
     exact_generative_gradient,
     exact_loglik,
 )
-from irbm.model import ModelParams, zero_model, z_posterior
+from irbm.model import ModelParams, unit_inputs, zero_model, z_posterior
 from irbm.rng import stream
 from irbm.sampling import PhaseSamples, run_label_cd
 from irbm.training import (
@@ -24,10 +25,10 @@ from irbm.training import (
     grad_discriminative_sampled,
     grad_generative,
     growth_decision,
-    hybrid_gradient,
     max_norm_project,
     regroup_schedule_update,
     sample_permutation,
+    _mix_in_place,
     _permute_rows,
 )
 
@@ -171,6 +172,11 @@ class TestSampledDiscriminativeGradient:
         assert np.all(np.abs(mean - exact) <= 3 * se + 1e-9)
 
 
+def _mixed(dis, gen, alpha, convention):
+    """The trainer's in-place hybrid mix, run on copies of its inputs."""
+    return _mix_in_place(dis.copy(), gen.copy(), alpha, convention)
+
+
 class TestHybridGradient:
     def _parts(self):
         m = make_model(50, D=4, l=2, C=2)
@@ -185,21 +191,21 @@ class TestHybridGradient:
 
     def test_alpha_zero_is_pure_discriminative_up_to_convention(self):
         dis, gen = self._parts()
-        h = hybrid_gradient(dis, gen, 0.0, "paper")
+        h = _mixed(dis, gen, 0.0, "paper")
         assert np.allclose(h.W, dis.W)
         assert np.allclose(h.d, dis.d)
 
     def test_weighted_sum_of_parts(self):
         dis, gen = self._parts()
         alpha = 0.3
-        h = hybrid_gradient(dis, gen, alpha, "paper")
+        h = _mixed(dis, gen, alpha, "paper")
         assert np.allclose(h.W, (1 + alpha) * dis.W + alpha * gen.W)
-        h2 = hybrid_gradient(dis, gen, alpha, "larochelle")
+        h2 = _mixed(dis, gen, alpha, "larochelle")
         assert np.allclose(h2.W, dis.W + alpha * gen.W)
 
     def test_best_reported_mix_wiring(self):
         dis, gen = self._parts()
-        h = hybrid_gradient(dis, gen, 0.005, "paper")
+        h = _mixed(dis, gen, 0.005, "paper")
         assert np.allclose(h.c, 1.005 * dis.c + 0.005 * gen.c)
 
     @pytest.mark.parametrize("convention", ["paper", "larochelle"])
@@ -207,7 +213,7 @@ class TestHybridGradient:
         dis, gen = self._parts()
         before = dis.copy(), gen.copy()
         alpha = 0.3
-        h = hybrid_gradient(dis, gen, alpha, convention)
+        h = _mixed(dis, gen, alpha, convention)
         for name, arr in h.blocks():
             d, g = getattr(dis, name), getattr(gen, name)
             assert np.array_equal(d, getattr(before[0], name))
@@ -218,7 +224,7 @@ class TestHybridGradient:
     def test_unknown_convention_rejected(self):
         dis, gen = self._parts()
         with pytest.raises(ValueError):
-            hybrid_gradient(dis, gen, 0.1, "other")
+            _mixed(dis, gen, 0.1, "other")
 
 
 class TestGrowthRule:
@@ -594,3 +600,93 @@ class TestWorkspace:
         bare.epochs_done += 1
         assert any(grew[:-1])           # the pool grew before the last update
         assert _same_state(epoch, bare)
+
+
+BOUNDED_L = 500
+# cutoff patterns of the positive and negative phase: (pos, neg) draws
+CUTOFF_PATTERNS = {
+    "all-1": lambda rng, n: (np.ones(n, dtype=np.int64),) * 2,
+    "mixed": lambda rng, n: (rng.integers(1, 13, n), rng.integers(1, 41, n)),
+    "mixed-pos-higher": lambda rng, n: (rng.integers(1, 41, n), rng.integers(1, 13, n)),
+    "all-l": lambda rng, n: (np.full(n, BOUNDED_L),) * 2,
+    "all-l+1": lambda rng, n: (np.full(n, BOUNDED_L + 1),) * 2,
+}
+
+
+def _reference_phase_term(m, V, Z, Y, visible_bias):
+    """The phase term from the full formulas: every product over all l rows."""
+    n, l = V.shape[0], m.l
+    mask = (np.arange(l)[None, :] < Z[:, None]).astype(np.float64)
+    S = expit(unit_inputs(m, V, Y)) * mask
+    term = {"W": -(S.T @ V) / n,
+            "b_v": -V.mean(axis=0) if visible_bias else np.zeros(m.D),
+            "c": -S.mean(axis=0)}
+    if m.penalty.mode == "dynamic":
+        term["c"] = term["c"] + m.penalty.beta * expit(m.c) * mask.mean(axis=0)
+    if m.has_labels:
+        E = np.zeros((n, m.C)) if Y is None else np.eye(m.C)[Y]
+        term["U"] = -(S.T @ E) / n if Y is not None else np.zeros((l, m.C))
+        term["d"] = -E.mean(axis=0) if Y is not None else np.zeros(m.C)
+    return term
+
+
+def _reference_difference(m, pos, neg, visible_bias):
+    gp = _reference_phase_term(m, pos.v, pos.z, pos.y, visible_bias)
+    gn = _reference_phase_term(m, neg.v, neg.z, neg.y, visible_bias)
+    return {name: gp[name] - gn[name] for name in gp}
+
+
+def _bytes_differ(g, ref) -> list:
+    """Blocks whose bytes differ from the reference (the sign of zero
+    included, which np.array_equal cannot see)."""
+    assert sorted(name for name, _ in g.blocks()) == sorted(ref)
+    return [name for name, arr in g.blocks() if arr.tobytes() != ref[name].tobytes()]
+
+
+class TestCutoffBoundedPhaseStatistics:
+    """The phase products bounded by the largest cutoff give the bytes of the
+    full -(S.T @ V) / n formulas, including the +0.0 of every row above it,
+    into fresh or NaN-filled bundles. D = 1 and n = 500 reach the guards:
+    a matrix-vector product and a batch above BOUNDED_MAX_BATCH."""
+
+    @staticmethod
+    def _case(D, C, mode, n, pattern):
+        m = make_model(70 + D + C, D=D, l=BOUNDED_L, C=C, scale=0.05, mode=mode)
+        rng = np.random.default_rng([D, C, n, len(pattern)])
+        z_pos, z_neg = CUTOFF_PATTERNS[pattern](rng, n)
+        V = (rng.random((n, D)) < 0.5).astype(np.float64)
+        V_neg = (rng.random((n, D)) < 0.5).astype(np.float64)
+        Y = rng.integers(0, C, n) if C else None
+        Y_neg = rng.integers(0, C, n) if C else None
+        return m, V, V_neg, Y, Y_neg, z_pos, z_neg
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 500])
+    @pytest.mark.parametrize("mode", ["constant", "dynamic"])
+    @pytest.mark.parametrize("C", [0, 3])
+    @pytest.mark.parametrize("D", [1, 2, 5, 784])
+    def test_generative(self, D, C, mode, n):
+        for pattern in CUTOFF_PATTERNS:
+            m, V, V_neg, Y, Y_neg, z_pos, z_neg = self._case(D, C, mode, n, pattern)
+            pos = PhaseSamples(v=V, z=z_pos, y=Y)
+            neg = PhaseSamples(v=V_neg, z=z_neg, y=Y_neg)
+            ref = _reference_difference(m, pos, neg, visible_bias=True)
+            into_nan = grad_generative(m, pos, neg, out=_nan_bundle(m),
+                                       scratch=_nan_bundle(m))
+            assert _bytes_differ(into_nan, ref) == [], pattern
+            assert _bytes_differ(grad_generative(m, pos, neg), ref) == [], pattern
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 500])
+    @pytest.mark.parametrize("mode", ["constant", "dynamic"])
+    @pytest.mark.parametrize("D", [1, 2, 5, 784])
+    def test_discriminative_sampled(self, D, mode, n):
+        for pattern in CUTOFF_PATTERNS:
+            m, V, _, Y, Y_neg, z_pos, z_neg = self._case(D, 3, mode, n, pattern)
+            neg = PhaseSamples(v=V, z=z_neg, y=Y_neg)
+            ref = _reference_difference(m, PhaseSamples(v=V, z=z_pos, y=Y), neg,
+                                        visible_bias=False)
+            into_nan = grad_discriminative_sampled(
+                m, V, Y, z_pos, neg, A=unit_inputs(m, V), out=_nan_bundle(m),
+                scratch=_nan_bundle(m))
+            assert _bytes_differ(into_nan, ref) == [], pattern
+            assert _bytes_differ(grad_discriminative_sampled(m, V, Y, z_pos, neg),
+                                 ref) == [], pattern

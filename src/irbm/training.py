@@ -52,30 +52,32 @@ moves.
 
 Cutoff-bounded phase statistics. A unit at or above a row's cutoff z adds
 nothing to that row's statistics: its column of S = sigmoid(A) * mask is
-+0.0. So the W and U rows of a phase term from the phase's largest z up are
-sums of +0.0 products (visible units and one-hot labels are >= 0), -0.0
-once negated and divided by n, and the gradient there is -0.0 - (-0.0) =
-+0.0. `_phase_difference` takes K = the largest z of both phases, runs both
-phases' `-(S.T @ V) / n` products on rows [:K] only, subtracts those rows
-and writes +0.0 into the rest; on `digits784-gen` K is 13 of l = 500 at the
-median (quartiles 10 and 25). The bounded rows equal the full product's bit
-for bit only while BLAS computes them the same way, so a product runs in
-full unless it stays matrix-matrix and short (`_product_rows`): numpy sends
-a one-row or one-column product to the matrix-vector routine, whose sums
-differ from the GEMM's, so K is raised to 2 and a block one column wide (D
-or C of 1) is not bounded; and a batch above `BOUNDED_MAX_BATCH` rows is
-not bounded, because OpenBLAS splits a longer sum over the batch into
-blocks except in the small-matrix kernel that a few-row product takes (with
-its SkylakeX kernels and one thread, rows changed from 385 examples up).
-These are facts of one BLAS thread, the benchmark's setting. With several
-threads OpenBLAS picks its split from a product's shape, so a GEMM's bits
-already depend on the thread count (at D = 784, n = 1000 one and two
-threads give different products), and a bounded product can differ from the
-full one in its last bits (seen at D = 100, n = 200, l = 64 with two
-threads). `draw_v`'s `H @ W` is not bounded: it sums over the units, and
-shortening that sum changed bits at D = 784 for K >= 300 and at D = 100 for
-K = 11 (n = 2) and 64 (n = 100). `sampling.draw_h` is bounded the same way,
-elementwise, so it needs no guard.
++0.0. So from a phase's largest z up, the W and U rows of its term are sums
+of +0.0 products (visible units and one-hot labels are >= 0) and its c
+entries means of +0.0, each -0.0 once negated (+0.0 after the dynamic
+penalty's +0.0 is added), and the gradient there is +0.0 in every case.
+`_phase_difference` takes K = the largest z of both phases, computes both
+phase terms on units [:K] only (expit, mask, the `-(S.T @ V) / n` products
+and the column means), subtracts those rows and writes +0.0 into the rest;
+on `digits784-gen` K is 13 of l = 500 at the median (quartiles 10 and 25).
+The bounded rows equal the full computation's bit for bit only while numpy
+and BLAS compute them the same way, so a phase term runs on all l units
+unless it stays matrix-matrix and short (`_bounded_units`): numpy sends a
+one-row or one-column product to the matrix-vector routine, and sums a
+one-column mean pairwise, both unlike the full computation, so K is raised
+to 2 and a term with D or C of 1 is not bounded; and a batch above
+`BOUNDED_MAX_BATCH` rows is not bounded, because OpenBLAS splits a longer
+sum over the batch into blocks except in the small-matrix kernel that a
+few-row product takes (with its SkylakeX kernels and one thread, rows
+changed from 385 examples up). These are facts of one BLAS thread, the
+benchmark's setting. With several threads OpenBLAS picks its split from a
+product's shape, so a GEMM's bits already depend on the thread count (at D
+= 784, n = 1000 one and two threads give different products), and a bounded
+product can differ from the full one in its last bits (seen at D = 100, n =
+200, l = 64 with two threads). `draw_v`'s `H @ W` is not bounded: it sums
+over the units, and shortening that sum changed bits at D = 784 for K >=
+300 and at D = 100 for K = 11 (n = 2) and 64 (n = 100). `sampling.draw_h`
+is bounded the same way, elementwise, so it needs no guard.
 """
 
 from __future__ import annotations
@@ -204,20 +206,21 @@ def _neg_mean_product(S, M, n: int, out: np.ndarray):
     out /= n
 
 
-# Largest batch whose phase products are bounded. OpenBLAS splits a longer
-# sum over the batch into k-blocks (384 rows with its SkylakeX kernels), but
-# not in the small-matrix kernel that a product of few rows may take, so the
+# Largest batch whose phase terms are bounded. OpenBLAS splits a longer sum
+# over the batch into k-blocks (384 rows with its SkylakeX kernels), but not
+# in the small-matrix kernel that a product of few rows may take, so the
 # bounded rows would round differently from the full product's.
 BOUNDED_MAX_BATCH = 256
 
 
-def _product_rows(block: np.ndarray, rows: int, n: int) -> int:
-    """How many leading rows of a W or U phase product over n examples to
-    compute: `rows` (at least 2) while the bounded product stays
-    matrix-matrix and short enough, all of them otherwise."""
-    if block.shape[1] < 2 or n > BOUNDED_MAX_BATCH:
-        return block.shape[0]
-    return min(max(rows, 2), block.shape[0])
+def _bounded_units(params: ModelParams, rows: int, n: int, labeled: bool) -> int:
+    """How many leading units a phase term over n examples computes: `rows`
+    (at least 2) while every product and column mean over them stays
+    matrix-matrix and short, all l otherwise."""
+    widths = (params.D, params.C) if labeled else (params.D,)
+    if min(widths) < 2 or n > BOUNDED_MAX_BATCH:
+        return params.l
+    return min(max(rows, 2), params.l)
 
 
 def _phase_term(params: ModelParams, V, Z, Y, visible_bias: bool, *,
@@ -227,32 +230,32 @@ def _phase_term(params: ModelParams, V, Z, Y, visible_bias: bool, *,
     With a label column the derivative is of F(v, y, z); visible_bias=False
     drops the b_v component, giving the derivative of G(y, z | v). A, when
     given, is unit_inputs(params, V, Y). out, when given, is a bundle of
-    params' shape that receives the term. rows is at least every z: the W
-    and U products run on their first `_product_rows` rows, which may leave
-    rows from `rows` up unwritten for the caller (see "Cutoff-bounded phase
-    statistics" above); every other block is written.
+    params' shape that receives the term. rows is at least every z: the
+    unit-indexed blocks W, c and U are computed on their first
+    `_bounded_units` rows, which may leave rows from `rows` up unwritten for
+    the caller (see "Cutoff-bounded phase statistics" above); b_v and d are
+    always written.
     """
     V = np.asarray(V, dtype=np.float64)
     Z = np.asarray(Z, dtype=np.int64)
-    n, l = V.shape[0], params.l
+    n = V.shape[0]
     if A is None:
         A = unit_inputs(params, V, Y)
-    mask = (np.arange(l)[None, :] < Z[:, None]).astype(np.float64)
-    S = expit(A) * mask
+    k = _bounded_units(params, rows, n, labeled=Y is not None)
+    mask = (np.arange(k)[None, :] < Z[:, None]).astype(np.float64)
+    S = expit(A[:, :k]) * mask
     g = Gradients.zeros(params) if out is None else out
-    k = _product_rows(g.W, rows, n)
-    _neg_mean_product(S[:, :k], V, n, g.W[:k])
-    g.c[:] = -S.mean(axis=0)
+    _neg_mean_product(S, V, n, g.W[:k])
+    g.c[:k] = -S.mean(axis=0)
     if params.penalty.mode == "dynamic":
-        g.c += params.penalty.beta * expit(params.c) * mask.mean(axis=0)
+        g.c[:k] += params.penalty.beta * expit(params.c[:k]) * mask.mean(axis=0)
     if visible_bias:
         g.b_v[:] = -V.mean(axis=0)
     else:
         g.b_v.fill(0.0)
     if Y is not None:
         E = _one_hot(np.asarray(Y, dtype=np.int64), params.C)
-        k = _product_rows(g.U, rows, n)
-        _neg_mean_product(S[:, :k], E, n, g.U[:k])
+        _neg_mean_product(S, E, n, g.U[:k])
         g.d[:] = -E.mean(axis=0)
     elif g.U is not None:
         g.U.fill(0.0)
@@ -264,8 +267,8 @@ def _phase_difference(params: ModelParams, pos: PhaseSamples, neg: PhaseSamples,
                       out, scratch, *, visible_bias: bool) -> Gradients:
     """The phase term at pos minus the one at neg, into out (the negative
     term into scratch); the phases must come from one parameter ordering.
-    The W and U rows from the largest cutoff of both phases up are +0.0
-    without a product (see "Cutoff-bounded phase statistics" above)."""
+    The W, c and U rows from the largest cutoff of both phases up are +0.0
+    without being computed (see "Cutoff-bounded phase statistics" above)."""
     if (pos.step_token is not None and neg.step_token is not None
             and pos.step_token != neg.step_token):
         raise ValueError("positive and negative phases come from different "
@@ -276,7 +279,7 @@ def _phase_difference(params: ModelParams, pos: PhaseSamples, neg: PhaseSamples,
     gn = _phase_term(params, neg.v, neg.z, neg.y, visible_bias=visible_bias,
                      A=neg.a, out=scratch, rows=K)
     for name, a in gp.blocks():
-        k = K if a.ndim == 2 else a.shape[0]
+        k = K if name in Gradients.UNIT_BLOCKS else a.shape[0]
         a[:k] -= getattr(gn, name)[:k]
         a[k:] = 0.0
     return gp

@@ -281,7 +281,7 @@ class TestRunConfig:
 
     def test_zero_cap_switch_epoch_and_ramp_train(self, tmp_path, capsys):
         # 0 keeps its meaning: always AIS, adaptive from the first epoch end,
-        # full momentum from the first update
+        # a one-update momentum ramp
         out = tmp_path / "run"
         assert run(["train", "--dataset", "bars:side=3,n=60,seed=1",
                     "--out-dir", out, "--epochs", 2, "--set", "exact_cap=0",

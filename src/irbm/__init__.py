@@ -5,7 +5,6 @@ from .model import (
     PenaltyConfig,
     ZPosterior,
     apply_permutation,
-    cond_y_given_v,
     free_energy,
     marginal_z_posterior,
     z_posterior,

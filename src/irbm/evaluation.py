@@ -11,7 +11,8 @@ Cost of exact evaluation. One enumeration does 2^D * (l+1) cells of work
 share their high bits (`_visible_blocks`), each block sized to about
 `model.BLOCK_CELLS` cells by the row-block rule `model.block_rows`, but never
 below `MIN_BLOCK_ROWS` rows, so the memory held is the 2^D vector of log p*(v)
-(8 * 2^D bytes) plus one block's temporaries; no 2^D x l array is built.
+(8 * 2^D bytes) plus one block's temporaries per enumeration worker (at most
+`ENUM_WORKERS`, 2); no 2^D x l array is built.
 Every row gets the same operations as in a one-shot pass over
 `all_binary_vectors(D)`, so per-row values and log Z keep their bits as
 long as BLAS computes a row of `V @ W.T` the same way for a block as for the
@@ -21,10 +22,11 @@ entries move by one unit in the last place.
 
 An unlabeled model is enumerated by `_unit_major_log_pstar_all`, which
 holds the per-unit terms unit-major, (l+1, rows), in buffers allocated once
-per enumeration. Row-major, a visible vector's row is only 10-60 units long on the bars
-models, and numpy's per-row overhead, not arithmetic, is the cost: at 512
-rows x 61 units, `np.cumsum(axis=-1)` takes 123 us and the row maximum 55
-us, against 41 us for one `exp` over the same cells (Xeon, numpy 2.4).
+per enumeration worker. Row-major, a visible vector's row is only 10-60
+units long on the bars models, and numpy's per-row overhead, not
+arithmetic, is the cost: at 512 rows x 61 units, `np.cumsum(axis=-1)`
+takes 123 us and the row maximum 55 us, against 41 us for one `exp` over
+the same cells (Xeon, numpy 2.4).
 Each step gives the bits of `log_pstar` on the same block:
 
 - the GEMM is the row-major `V @ W.T` plus c, then one transposed copy; a
@@ -40,13 +42,37 @@ Each step gives the bits of `log_pstar` on the same block:
 - the sum over z runs as `np.sum(axis=-1)` on a row-major copy, so numpy's
   pairwise summation groups the terms as it does on each row of `log_pstar`.
 
+Enumeration workers. An unlabeled enumeration splits its 2^(D-lo) high-bit
+blocks into contiguous shares, one per worker, with min(`ENUM_WORKERS`,
+the CPUs the process may run on, the block count) workers. The calling
+thread runs the first share and a thread started for the call runs each
+other one; all are joined before the call returns, and a worker's error is
+raised in the caller. Each share has its own buffers and its own V, and
+writes only its own rows of log p*(v), so every row gets the operations of
+the serial loop on the same block, and `_log_pstar_all`, log Z, p(v) and
+the exact gradient keep their bits for any worker count (at one BLAS
+thread, as everywhere; a multi-threaded BLAS may split a block's GEMM
+differently when two calls run at once). A worker runs in a copy of the
+caller's context, so the caller's `np.errstate` holds there too, and it
+calls numpy only: the low-bit vectors and the unit penalties come from
+the caller, because a tracer that wraps the package's functions from
+outside (perfbench's) keeps one span stack. The GEMM and the ufunc loops
+release the GIL, but each block's l per-unit `np.add` calls hold it for
+their dispatch, so workers beyond two were not expected to pay and only
+two cores were measured. Labeled models stay serial: their blocks call
+the public, traceable `label_joint_log_weights`, and no workload
+enumerates a labeled model.
+
 Labeled models run `log_pstar` per block; it is also the reference the
 kernel is tested against.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +96,7 @@ from .training import sample_permutation
 
 EXACT_D_CAP = 14
 MIN_BLOCK_ROWS = 2 ** 6
+ENUM_WORKERS = 2
 
 
 def all_binary_vectors(D: int) -> np.ndarray:
@@ -95,12 +122,18 @@ def _visible_blocks(params: ModelParams):
     high bits. Yields (start, V): V holds rows start .. start + len(V) - 1.
     V is one buffer whose low-bit columns are set once and whose high-bit
     columns each block overwrites, so a consumer must not keep it."""
-    D = params.D
     lo = _block_bits(params)
+    return _high_bit_blocks(all_binary_vectors(lo), params.D, range(2 ** (params.D - lo)))
+
+
+def _high_bit_blocks(low: np.ndarray, D: int, his: range):
+    """The `_visible_blocks` blocks whose high bits are the numbers in his,
+    from low = all_binary_vectors(lo), in one buffer of its own."""
+    lo = low.shape[1]
     hi_shifts = np.arange(D - lo - 1, -1, -1)
-    V = np.empty((2 ** lo, D))
-    V[:, D - lo:] = all_binary_vectors(lo)
-    for hi in range(2 ** (D - lo)):
+    V = np.empty((low.shape[0], D))
+    V[:, D - lo:] = low
+    for hi in his:
         V[:, :D - lo] = (hi >> hi_shifts) & 1
         yield hi << lo, V
 
@@ -115,15 +148,52 @@ def _log_pstar_all(params: ModelParams) -> np.ndarray:
     return lp
 
 
+def _enumeration_workers(blocks: int) -> int:
+    """Threads that share the blocks of an unlabeled enumeration: at most
+    ENUM_WORKERS, the CPUs this process may run on, and the block count."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:       # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(ENUM_WORKERS, cpus, blocks)
+
+
 def _unit_major_log_pstar_all(params: ModelParams) -> np.ndarray:
     """log_pstar of every visible vector of an unlabeled model, with the
-    bits of `log_pstar` on each `_visible_blocks` block, from buffers
-    allocated once. The per-unit terms are held unit-major, (l+1, rows), so
-    the cumulative sum and the maximum over z run across whole rows of
-    cells instead of along each visible vector's short row; the module
-    docstring says why each step keeps its bits."""
-    l, R = params.l, 2 ** _block_bits(params)
-    lp = np.empty(2 ** params.D)
+    bits of `log_pstar` on each `_visible_blocks` block. The high-bit blocks
+    are split into contiguous shares, one per worker: this thread runs the
+    first, threads started for this call run the others and are joined
+    before it returns, and a worker's error is raised here."""
+    D, lo = params.D, _block_bits(params)
+    # traced package calls stay on this thread; workers call numpy only
+    low = all_binary_vectors(lo)
+    penalties = params.unit_penalties()[:, None]
+    lp = np.empty(2 ** D)
+    n = 2 ** (D - lo)
+    workers = _enumeration_workers(n)
+    cuts = [n * k // workers for k in range(workers + 1)]
+    shares = [range(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+    # each worker runs in a copy of this thread's context, so the caller's
+    # np.errstate holds there too; leaving the pool joins its threads
+    with ThreadPoolExecutor(max(1, len(shares) - 1)) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, _unit_major_share,
+                               params, penalties, low, his, lp)
+                   for his in shares[1:]]
+        _unit_major_share(params, penalties, low, shares[0], lp)
+        for f in futures:
+            f.result()
+    return lp
+
+
+def _unit_major_share(params: ModelParams, penalties: np.ndarray,
+                      low: np.ndarray, his: range, lp: np.ndarray) -> None:
+    """Write log_pstar of the blocks whose high bits are in his into their
+    rows of lp, from buffers allocated once per share. The per-unit terms
+    are held unit-major, (l+1, rows), so the cumulative sum and the maximum
+    over z run across whole rows of cells instead of along each visible
+    vector's short row; the module docstring says why each step keeps its
+    bits. Calls numpy only, so it may run on any thread."""
+    l, R = params.l, low.shape[0]
     A = np.empty((R, l))                 # unit inputs, row-major as in BLAS
     head = np.empty((l + 1, R))          # log weights of z = 1..l+1
     tmp = np.empty((l, R))
@@ -131,9 +201,8 @@ def _unit_major_log_pstar_all(params: ModelParams) -> np.ndarray:
     base, m, tail, s = (np.empty(R) for _ in range(4))
     T = head[:l]
     z_rows = list(head)
-    penalties = params.unit_penalties()[:, None]
     Wt = params.W.T
-    for start, V in _visible_blocks(params):
+    for start, V in _high_bit_blocks(low, params.D, his):
         # A = unit_inputs(V), base = V.b_v
         np.matmul(V, Wt, out=A)
         A += params.c
@@ -165,7 +234,6 @@ def _unit_major_log_pstar_all(params: ModelParams) -> np.ndarray:
         s += tail
         np.log(s, out=s)
         np.add(m, s, out=lp[start:start + R])
-    return lp
 
 
 def _logsumexp_overwrite(a: np.ndarray) -> float:

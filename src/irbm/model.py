@@ -473,11 +473,6 @@ def log_cond_y_given_v(params: ModelParams, v, *, A=None) -> np.ndarray:
     return out[0] if single else out
 
 
-def cond_y_given_v(params: ModelParams, v) -> np.ndarray:
-    """p(y | v) over all classes, summing the full z support per class."""
-    return np.exp(log_cond_y_given_v(params, v))
-
-
 def marginal_z_posterior(params: ModelParams, v, *, log_cond_y=None) -> ZPosterior:
     """p(z | v) regardless of labels: for labeled models the classes are
     summed out, block by block over `label_blocks`; otherwise this is the

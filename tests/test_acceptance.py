@@ -30,7 +30,7 @@ from irbm.evaluation import (
     exact_loglik,
     exact_visible_distribution,
 )
-from irbm.model import ModelParams, cond_y_given_v, free_energy, z_posterior, zero_model
+from irbm.model import ModelParams, free_energy, log_cond_y_given_v, z_posterior, zero_model
 from irbm.rng import stream
 from irbm.sampling import draw_y_given_vz, draw_z, gibbs_sweep, run_label_cd
 from irbm.training import (
@@ -136,7 +136,7 @@ def test_criterion_3_sampler_fidelity():
 
     ml = make_model(102, D=3, l=2, C=2, scale=0.8)
     v = np.array([1.0, 0.0, 1.0])
-    exact_y = cond_y_given_v(ml, v)
+    exact_y = np.exp(log_cond_y_given_v(ml, v))
     rngd = stream(9303, "acc-dis")
     V_t = np.tile(v, (n_chains, 1))
     Y = rngd.integers(0, 2, size=n_chains)

@@ -1,5 +1,9 @@
+import collections
 import math
+import threading
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from irbm.evaluation import (
 )
 from irbm.evaluation import (
     _block_bits,
+    _log_pstar_all,
     _unit_major_log_pstar_all,
     _visible_blocks,
 )
@@ -620,3 +625,93 @@ class TestBlockEnumeration:
         assert budget <= 16 * 2 ** 20 + 8 * 2 ** D
         peak = peak_traced_bytes(exact_log_partition, m, D)
         assert peak <= budget, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+# worker counts forced on the unlabeled enumeration: serial, the default
+# two, an uneven three and more workers than there are blocks
+WORKER_COUNTS = (1, 2, 3, 1000)
+WORKER_KINDS = sorted({kind for _, kind in KERNEL_CASES})
+PERFBENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def split_model(kind):
+    """The kind's enumeration model at the smallest D with four or more
+    high-bit blocks, so that every forced worker count splits it."""
+    for D in (11, 14, 16):
+        m = enum_model(D, kind)
+        if 2 ** (D - _block_bits(m)) >= 4:
+            return m
+    raise AssertionError(kind)
+
+
+def force_workers(monkeypatch, k):
+    monkeypatch.setattr("irbm.evaluation._enumeration_workers", lambda blocks: k)
+
+
+class TestEnumerationWorkers:
+    @pytest.mark.parametrize("kind", WORKER_KINDS)
+    def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch, kind):
+        m = split_model(kind)
+        results = []
+        for k in WORKER_COUNTS:
+            force_workers(monkeypatch, k)
+            with np.errstate(all="ignore"):
+                results.append((_log_pstar_all(m),
+                                np.float64(exact_log_partition(m, cap=16)),
+                                exact_visible_distribution(m, cap=16)))
+        for got in results[1:]:
+            for a, b in zip(got, results[0]):
+                assert np.array_equal(a, b, equal_nan=True)
+
+    def test_default_count_is_two_at_most_and_never_above_the_blocks(self):
+        from irbm.evaluation import _enumeration_workers
+        assert _enumeration_workers(1) == 1
+        assert 1 <= _enumeration_workers(2 ** 10) <= 2
+
+    def test_workers_keep_the_callers_errstate(self, monkeypatch):
+        m = split_model("overflow")
+        force_workers(monkeypatch, 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(all="ignore"):
+                lp = _log_pstar_all(m)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        half = lp.shape[0] // 2
+        # both shares overflow, so the worker's share is the one checked too
+        assert np.isposinf(lp[:half]).any() and np.isposinf(lp[half:]).any()
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_an_error_is_raised_and_every_thread_joined(self, monkeypatch, failing):
+        m = split_model("plain")
+        force_workers(monkeypatch, 2)
+        caller = threading.get_ident()
+        log1p = np.log1p
+
+        def flaky(*args, **kwargs):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise RuntimeError(f"{failing} failed")
+            return log1p(*args, **kwargs)
+
+        monkeypatch.setattr(np, "log1p", flaky)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{failing} failed"):
+            _log_pstar_all(m)
+        assert threading.active_count() == before
+
+    def test_traced_spans_do_not_depend_on_the_worker_count(self, monkeypatch):
+        # perfbench's tracer keeps one span stack, so a worker must open no
+        # span: every traced call stays on the calling thread
+        import irbm
+        monkeypatch.syspath_prepend(str(PERFBENCH_DIR))
+        import tracer as tracing
+        m = make_model(960, D=16, l=60, scale=0.3)
+        spans = []
+        for k in (1, 2):
+            force_workers(monkeypatch, k)
+            tr = tracing.Tracer()
+            with tr.installed(irbm):
+                irbm.evaluation.exact_log_partition(m, 16)
+            assert all(s[3] < i and s[1] <= s[2] for i, s in enumerate(tr.spans))
+            spans.append(collections.Counter(s[0] for s in tr.spans))
+        assert spans[0] == spans[1]
+        assert spans[0]["evaluation.exact_log_partition"] == 1

@@ -356,13 +356,13 @@ class TestRowBlocks:
             for overrides in (dict(objective="generative"),
                               dict(objective="hybrid", alpha=0.5, dis_grad="sampled")):
                 for ordered, p_trainer in _trainer_label_probs(m, V, Y, overrides):
-                    assert np.array_equal(p_trainer, model.cond_y_given_v(ordered, V))
+                    assert np.array_equal(p_trainer, np.exp(model.log_cond_y_given_v(ordered, V)))
             modes = model.marginal_z_posterior(m, V).mode(pool_tail=True)
             results.append((p_y, g, modes))
         # the one-shot build of the full (n, C, l+1) array
         joint = label_joint_log_weights(m, V)
         assert np.array_equal(results[0][0], np.exp(joint.log_label_probs()))
-        assert np.array_equal(results[0][0], model.cond_y_given_v(m, V))
+        assert np.array_equal(results[0][0], np.exp(model.log_cond_y_given_v(m, V)))
         assert np.array_equal(results[0][2], joint.over_labels().mode(pool_tail=True))
         for p_y, g, modes in results[1:]:
             assert np.array_equal(p_y, results[0][0])

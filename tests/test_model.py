@@ -15,9 +15,9 @@ from irbm.model import (
     ModelParams,
     PenaltyConfig,
     apply_permutation,
-    cond_y_given_v,
     free_energy,
     label_joint_log_weights,
+    log_cond_y_given_v,
     marginal_z_posterior,
     unit_inputs,
     z_posterior,
@@ -196,21 +196,21 @@ class TestConditionals:
 
     def test_label_posterior_uniform_for_zero_model(self):
         m = zero_model(D=3, C=5)
-        assert np.allclose(cond_y_given_v(m, np.ones(3)), 0.2)
+        assert np.allclose(np.exp(log_cond_y_given_v(m, np.ones(3))), 0.2)
 
     def test_label_posterior_needs_label_units(self):
         with pytest.raises(ValueError, match="no label weights"):
-            cond_y_given_v(make_model(34, D=4, l=3), np.ones(4))
+            log_cond_y_given_v(make_model(34, D=4, l=3), np.ones(4))
 
     def test_label_posterior_sums_to_one(self):
         m = make_model(35, D=4, l=3, C=3)
-        p = cond_y_given_v(m, random_binary(8, 6, 4))
+        p = np.exp(log_cond_y_given_v(m, random_binary(8, 6, 4)))
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_label_posterior_matches_truncated_sum(self):
         m = make_model(36, D=4, l=3, C=3)
         v = np.array([1.0, 1.0, 0.0, 1.0])
-        got = cond_y_given_v(m, v)
+        got = np.exp(log_cond_y_given_v(m, v))
         want = oracles.cond_y_by_truncation(m, v, 10_000)
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -371,6 +371,6 @@ def test_conditional_outputs_are_probabilities(seed):
     v = random_binary(seed, 1, 4)
     h = expit(unit_inputs(m, v))
     assert np.all((h >= 0) & (h <= 1))
-    p = cond_y_given_v(m, v[0])
+    p = np.exp(log_cond_y_given_v(m, v[0]))
     assert np.all(p >= 0)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)

@@ -5,7 +5,7 @@ from scipy.stats import chisquare
 
 import oracles
 from conftest import make_model, random_binary
-from irbm.model import ModelParams, cond_y_given_v, unit_inputs, z_posterior, zero_model
+from irbm.model import ModelParams, log_cond_y_given_v, unit_inputs, z_posterior, zero_model
 from irbm.rng import stream
 from irbm.sampling import (
     FantasyChains,
@@ -151,7 +151,7 @@ class TestDiscriminativeChain:
     def test_matches_exact_label_conditional(self):
         m = make_model(111, D=4, l=2, C=2, scale=0.8)
         v = np.array([1.0, 0.0, 1.0, 0.0])
-        exact = cond_y_given_v(m, v)
+        exact = np.exp(log_cond_y_given_v(m, v))
         rng = stream(9, "dis-exact")
         Y = np.array([0])
         counts = np.zeros(2)

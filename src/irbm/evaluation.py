@@ -11,7 +11,8 @@ Cost of exact evaluation. One enumeration does 2^D * (l+1) cells of work
 share their high bits (`_visible_blocks`), each block sized to about
 `model.BLOCK_CELLS` cells by the row-block rule `model.block_rows`, but never
 below `MIN_BLOCK_ROWS` rows, so the memory held is the 2^D vector of log p*(v)
-(8 * 2^D bytes) plus one block's temporaries per enumeration worker (at most
+(8 * 2^D bytes) plus one block's temporaries, or for an unlabeled model one
+buffer set of `BLOCKS_PER_PASS` (2) blocks per enumeration worker (at most
 `ENUM_WORKERS`, 2); no 2^D x l array is built.
 Every row gets the same operations as in a one-shot pass over
 `all_binary_vectors(D)`, so per-row values and log Z keep their bits as
@@ -22,16 +23,19 @@ entries move by one unit in the last place.
 
 An unlabeled model is enumerated by `_unit_major_log_pstar_all`, which
 holds the per-unit terms unit-major, (l+1, rows), in buffers allocated once
-per enumeration worker. Row-major, a visible vector's row is only 10-60
-units long on the bars models, and numpy's per-row overhead, not
-arithmetic, is the cost: at 512 rows x 61 units, `np.cumsum(axis=-1)`
-takes 123 us and the row maximum 55 us, against 41 us for one `exp` over
-the same cells (Xeon, numpy 2.4).
+per enumeration worker and filled two blocks per pass. Row-major, a
+visible vector's row is only 10-60 units long on the bars models, and
+numpy's per-row overhead, not arithmetic, is the cost: at 512 rows x 61
+units, `np.cumsum(axis=-1)` takes 123 us and the row maximum 55 us, against
+41 us for one `exp` over the same cells (Xeon, numpy 2.4).
 Each step gives the bits of `log_pstar` on the same block:
 
-- the GEMM is the row-major `V @ W.T` plus c, then one transposed copy; a
-  unit-major `W @ V.T` changes bits at some l (250, 300, 333 and 500 among
-  those tried);
+- the GEMMs are the row-major `V @ W.T` and `V @ b_v` of each block, into
+  that block's rows of the pass, then c is added and one transposed copy
+  made; a unit-major `W @ V.T` changes bits at some l (250, 300, 333 and
+  500 among those tried). Every later step is elementwise, or a maximum or
+  sum within one visible vector, so it gives each row the same bits in a
+  pass of one block or of two;
 - softplus and the penalty are the same ufuncs in the same order, in
   place; `max(x, 0) + t` in place of `t + max(x, 0)` is the same IEEE sum;
 - the cumulative sum over units is l-1 `np.add` calls on row views built
@@ -56,12 +60,16 @@ differently when two calls run at once). A worker runs in a copy of the
 caller's context, so the caller's `np.errstate` holds there too, and it
 calls numpy only: the low-bit vectors and the unit penalties come from
 the caller, because a tracer that wraps the package's functions from
-outside (perfbench's) keeps one span stack. The GEMM and the ufunc loops
-release the GIL, but each block's l per-unit `np.add` calls hold it for
-their dispatch, so workers beyond two were not expected to pay and only
-two cores were measured. Labeled models stay serial: their blocks call
-the public, traceable `label_joint_log_weights`, and no workload
-enumerates a labeled model.
+outside (perfbench's) keeps one span stack. The GEMMs and the ufunc loops
+release the GIL, but the l per-unit `np.add` calls of a pass hold it for
+their dispatch; a pass of two blocks halves those calls per row, which
+took two workers from 0.69-0.81 to 0.61-0.64 of one worker's time on
+random D=16 models at l from 16 to 57 (median of 11, one BLAS thread, 2
+cores), and moved one worker's time by -7% to +3%. A share with an odd number of blocks
+takes one block per pass. Only two cores were measured, hence at most two
+workers. Labeled models stay serial: their blocks call the public,
+traceable `label_joint_log_weights`, and no workload enumerates a labeled
+model.
 
 Labeled models run `log_pstar` per block; it is also the reference the
 kernel is tested against.
@@ -97,6 +105,9 @@ from .training import sample_permutation
 EXACT_D_CAP = 14
 MIN_BLOCK_ROWS = 2 ** 6
 ENUM_WORKERS = 2
+# enumeration blocks per pass of the unlabeled kernel: a pass's per-unit
+# np.add calls, which take the GIL, each cover this many blocks' rows
+BLOCKS_PER_PASS = 2
 
 
 def all_binary_vectors(D: int) -> np.ndarray:
@@ -192,21 +203,29 @@ def _unit_major_share(params: ModelParams, penalties: np.ndarray,
     are held unit-major, (l+1, rows), so the cumulative sum and the maximum
     over z run across whole rows of cells instead of along each visible
     vector's short row; the module docstring says why each step keeps its
-    bits. Calls numpy only, so it may run on any thread."""
+    bits. A pass takes BLOCKS_PER_PASS blocks when they divide the share:
+    each block's GEMMs fill their own rows, and every later step runs once
+    over the rows of the pass. Calls numpy only, so it may run on any
+    thread."""
     l, R = params.l, low.shape[0]
-    A = np.empty((R, l))                 # unit inputs, row-major as in BLAS
-    head = np.empty((l + 1, R))          # log weights of z = 1..l+1
-    tmp = np.empty((l, R))
-    w = np.empty((R, l + 1))             # shifted weights, row-major
-    base, m, tail, s = (np.empty(R) for _ in range(4))
+    per_pass = BLOCKS_PER_PASS if len(his) % BLOCKS_PER_PASS == 0 else 1
+    rows = per_pass * R
+    A = np.empty((rows, l))              # unit inputs, row-major as in BLAS
+    head = np.empty((l + 1, rows))       # log weights of z = 1..l+1
+    tmp = np.empty((l, rows))
+    w = np.empty((rows, l + 1))          # shifted weights, row-major
+    base, m, tail, s = (np.empty(rows) for _ in range(4))
     T = head[:l]
     z_rows = list(head)
     Wt = params.W.T
-    for start, V in _high_bit_blocks(low, params.D, his):
-        # A = unit_inputs(V), base = V.b_v
-        np.matmul(V, Wt, out=A)
+    for i, (start, V) in enumerate(_high_bit_blocks(low, params.D, his)):
+        # A = unit_inputs(V), base = V.b_v, one block at a time
+        k = i % per_pass
+        np.matmul(V, Wt, out=A[k * R:(k + 1) * R])
+        np.matmul(V, params.b_v, out=base[k * R:(k + 1) * R])
+        if k < per_pass - 1:
+            continue
         A += params.c
-        np.matmul(V, params.b_v, out=base)
         np.copyto(T, A.T)
         # softplus(A) - beta: the steps of model.softplus, in place
         np.abs(T, out=tmp)
@@ -233,7 +252,7 @@ def _unit_major_share(params: ModelParams, penalties: np.ndarray,
         np.exp(tail, out=tail)
         s += tail
         np.log(s, out=s)
-        np.add(m, s, out=lp[start:start + R])
+        np.add(m, s, out=lp[start + R - rows:start + R])
 
 
 def _logsumexp_overwrite(a: np.ndarray) -> float:

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import math
 import threading
 import tracemalloc
@@ -651,10 +652,12 @@ def force_workers(monkeypatch, k):
 class TestEnumerationWorkers:
     @pytest.mark.parametrize("kind", WORKER_KINDS)
     def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch, kind):
+        # nor on the blocks a pass takes: 2 by default, 1 for an odd share
         m = split_model(kind)
         results = []
-        for k in WORKER_COUNTS:
+        for k, per_pass in itertools.product(WORKER_COUNTS, (1, 2, 4)):
             force_workers(monkeypatch, k)
+            monkeypatch.setattr("irbm.evaluation.BLOCKS_PER_PASS", per_pass)
             with np.errstate(all="ignore"):
                 results.append((_log_pstar_all(m),
                                 np.float64(exact_log_partition(m, cap=16)),

@@ -33,6 +33,7 @@ from irbm.evaluation import (
 )
 from irbm.evaluation import (
     _block_bits,
+    _enumeration_workers,
     _log_pstar_all,
     _unit_major_log_pstar_all,
     _visible_blocks,
@@ -667,7 +668,6 @@ class TestEnumerationWorkers:
                 assert np.array_equal(a, b, equal_nan=True)
 
     def test_default_count_is_two_at_most_and_never_above_the_blocks(self):
-        from irbm.evaluation import _enumeration_workers
         assert _enumeration_workers(1) == 1
         assert 1 <= _enumeration_workers(2 ** 10) <= 2
 

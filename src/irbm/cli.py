@@ -197,7 +197,7 @@ def _epoch_metrics(trainer: Trainer, X, Y, config: RunConfig) -> dict:
     method, log_z = evaluation.log_partition_estimator(
         params, sub_x, rng, config.exact_cap, config.ais_temps,
         config.ais_chains)
-    ev = evaluation.order_pass(params, sub_x)
+    ev = evaluation.order_pass(params, sub_x, labels=Y is not None)
     avg_loglik = None
     # AIS is too costly for every epoch: it runs on the eval_every cadence
     if method == "exact" or trainer.epochs_done % config.eval_every == 0:
@@ -318,8 +318,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.perms < 1:
-        raise ValueError(f"--perms must be >= 1, got {args.perms}")
     ckpt = load_checkpoint(args.checkpoint)
     data = resolve_dataset(args.dataset, args.split)
     X = data.X.astype(np.float64)
@@ -422,8 +420,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.perms < 1:
-        raise ValueError(f"--perms must be >= 1, got {args.perms}")
     # a bad spec is refused before any check runs
     data = resolve_dataset(args.dataset, args.split) if args.dataset else None
     try:
@@ -677,10 +673,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    """Refuse a flag outside its domain before a command loads anything,
+    with the domains `RunConfig` and `TrainConfig` give the same settings."""
+    seed = getattr(args, "seed", None)
+    if seed is not None and not 0 <= seed < 2 ** 64:
+        raise ValueError(f"--seed must be in [0, 2**64), got {seed}")
+    for flag, least in (("perms", 1), ("ais_temps", 2), ("ais_chains", 1)):
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            name = "--" + flag.replace("_", "-")
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Evaluation: exact partition functions for small models, AIS for the rest,
 and the dataset metrics (order invariance, effective size, classification),
 each a reduction over `order_pass`: one `model.marginal_z_posterior` per
-model ordering, whose label blocks also give a labeled model's log p(y | v).
+model ordering, whose label blocks also give a labeled model's log p(y | v)
+when the reader needs it.
 
 Everything here reads the model without mutating it. Exact quantities
 enumerate all 2^D visible vectors and are guarded by a dimension cap.
@@ -46,12 +47,16 @@ Each step gives the bits of `log_pstar` on the same block:
 - the sum over z runs as `np.sum(axis=-1)` on a row-major copy, so numpy's
   pairwise summation groups the terms as it does on each row of `log_pstar`.
 
-Enumeration workers. An unlabeled enumeration splits its 2^(D-lo) high-bit
-blocks into contiguous shares, one per worker, with min(`ENUM_WORKERS`,
-the CPUs the process may run on, the block count) workers. The calling
-thread runs the first share and a thread started for the call runs each
-other one; all are joined before the call returns, and a worker's error is
-raised in the caller. Each share has its own buffers and its own V, and
+Worker threads. Work that the module splits across threads is cut into
+contiguous `_shares`, one per worker, with min(`ENUM_WORKERS`, the CPUs
+the process may run on, the task count) workers (`_worker_count`), and run
+by `_call_on_threads`: the calling thread runs the first share and a
+thread started for the call runs each other one, in a copy of the
+caller's context; all are joined before the call returns, and a worker's
+error is raised in the caller. One worker starts no thread.
+
+Enumeration workers. An unlabeled enumeration shares out its 2^(D-lo)
+high-bit blocks. Each share has its own buffers and its own V, and
 writes only its own rows of log p*(v), so every row gets the operations of
 the serial loop on the same block, and `_log_pstar_all`, log Z, p(v) and
 the exact gradient keep their bits for any worker count (at one BLAS
@@ -73,15 +78,48 @@ model.
 
 Labeled models run `log_pstar` per block; it is also the reference the
 kernel is tested against.
+
+AIS workers. A permutation-averaged report (`full_report`, or
+`permutation_averaged_loglik`, with the AIS estimator) makes one AIS run
+for each ordering, led by the model's own order in `full_report`. The runs
+share one generator: serially, each starts where the previous run and the
+next permutation draw leave it. `_permutation_average` therefore reserves
+each run before it draws the next ordering (`_Ais.reserve`): it copies the
+generator, skips the run's uniforms (initial V, then z, h, v and y of each
+sweep) with `rng.skip_uniforms`, draws the labels and the bootstrap
+indices for real, because how much they draw depends on their values, and
+records the state the run's last uniform leaves. For a Philox generator,
+which `rng.stream` builds, the skip costs O(1): a reservation took 2.0 ms
+at D=784, l=500, 30 chains and 100 temperatures, against 62 ms for drawing
+the uniforms (one BLAS thread, 2-core Xeon). The runs are then shared out
+to the workers, and the calling thread makes the order passes before its
+share. Every run draws what it drew serially, from a copy in the state the
+serial run started from, and `_ais_log_weights` does the operations of the
+composed `unit_inputs` / `z_posterior` / `gibbs_sweep` steps on the same
+values (`tests/oracles.ais_building_afresh`), so the report and the
+generator's final state keep their bits for any worker count (at one BLAS
+thread, as above). A worker checks that its generator ends at the reserved
+state and raises otherwise, so a skip that miscounts cannot go unseen. The
+kernel calls numpy and scipy only, and each run's reduction
+(`base_log_partition`, the bootstrap) runs on the caller, because of the
+tracer's one span stack: in a traced run, the AIS sweeps open no spans. A
+run in flight holds its scaled copy of W, 8 * l * D bytes (3.1 MB at l=500,
+D=784), and about 8 * chains * (8l + 3D) bytes of chain buffers; each
+reserved run holds its ordering's model and its bootstrap indices until
+the report is reduced. Exact log Z draws nothing; it stays serial per
+ordering and runs on the enumeration workers.
 """
 
 from __future__ import annotations
 
 import contextvars
+import copy
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import expit, logit, logsumexp
@@ -96,10 +134,9 @@ from .model import (
     log_sum_exp,
     marginal_z_posterior,
     unit_inputs,
-    with_label_inputs,
     z_posterior,
 )
-from .sampling import gibbs_sweep
+from .rng import skip_uniforms
 from .training import sample_permutation
 
 EXACT_D_CAP = 14
@@ -159,40 +196,48 @@ def _log_pstar_all(params: ModelParams) -> np.ndarray:
     return lp
 
 
-def _enumeration_workers(blocks: int) -> int:
-    """Threads that share the blocks of an unlabeled enumeration: at most
-    ENUM_WORKERS, the CPUs this process may run on, and the block count."""
+def _worker_count(tasks: int) -> int:
+    """Threads that share a call's tasks (the high-bit blocks of an
+    unlabeled enumeration, or the reserved runs of an AIS average): at most
+    ENUM_WORKERS, the CPUs this process may run on, and the task count."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:       # no affinity mask on this platform
         cpus = os.cpu_count() or 1
-    return min(ENUM_WORKERS, cpus, blocks)
+    return min(ENUM_WORKERS, cpus, tasks)
+
+
+def _shares(tasks: int) -> list[range]:
+    """Tasks 0 .. tasks - 1 split into contiguous shares, one per worker of
+    `_worker_count`, the first share no larger than the others."""
+    workers = _worker_count(tasks)
+    cuts = [tasks * k // workers for k in range(workers + 1)]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+def _call_on_threads(tasks) -> list:
+    """Call every task and return the results in task order: this thread
+    calls the first, and a thread started for this call each other one, in
+    a copy of this thread's context, so the caller's np.errstate holds there
+    too. Leaving the pool joins every thread before this returns, and a
+    task's error is raised here. One task starts no thread."""
+    with ThreadPoolExecutor(max(1, len(tasks) - 1)) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, task)
+                   for task in tasks[1:]]
+        return [tasks[0]()] + [f.result() for f in futures]
 
 
 def _unit_major_log_pstar_all(params: ModelParams) -> np.ndarray:
     """log_pstar of every visible vector of an unlabeled model, with the
     bits of `log_pstar` on each `_visible_blocks` block. The high-bit blocks
-    are split into contiguous shares, one per worker: this thread runs the
-    first, threads started for this call run the others and are joined
-    before it returns, and a worker's error is raised here."""
+    are split into `_shares`, one per worker of `_call_on_threads`."""
     D, lo = params.D, _block_bits(params)
     # traced package calls stay on this thread; workers call numpy only
     low = all_binary_vectors(lo)
     penalties = params.unit_penalties()[:, None]
     lp = np.empty(2 ** D)
-    n = 2 ** (D - lo)
-    workers = _enumeration_workers(n)
-    cuts = [n * k // workers for k in range(workers + 1)]
-    shares = [range(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
-    # each worker runs in a copy of this thread's context, so the caller's
-    # np.errstate holds there too; leaving the pool joins its threads
-    with ThreadPoolExecutor(max(1, len(shares) - 1)) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, _unit_major_share,
-                               params, penalties, low, his, lp)
-                   for his in shares[1:]]
-        _unit_major_share(params, penalties, low, shares[0], lp)
-        for f in futures:
-            f.result()
+    _call_on_threads([partial(_unit_major_share, params, penalties, low, his, lp)
+                      for his in _shares(2 ** (D - lo))])
     return lp
 
 
@@ -366,17 +411,6 @@ class AisResult:
         return abs(self.log_z - reference) <= n_se * self.std_err
 
 
-def _interpolate(m: ModelParams, params: ModelParams, beta_k: float,
-                b_base: np.ndarray) -> ModelParams:
-    """Fill m, a model shaped like params, with the model at inverse
-    temperature beta_k: couplings scaled by beta_k, visible biases mixed with
-    the base model's. Its unit inputs are beta_k * unit_inputs(params, .)."""
-    for name, a in params.blocks():
-        np.multiply(a, beta_k, out=getattr(m, name))
-    m.b_v += (1.0 - beta_k) * b_base
-    return m
-
-
 def base_log_partition(params: ModelParams, b_base: np.ndarray) -> float:
     """Closed-form log Z of the zero-weight model with visible biases b_base:
     the visible factor times the geometric z series (times C for labels)."""
@@ -385,6 +419,51 @@ def base_log_partition(params: ModelParams, b_base: np.ndarray) -> float:
     if params.has_labels:
         out += np.log(params.C)
     return out
+
+
+def _check_ais_settings(n_temps: int, n_chains: int):
+    if n_temps < 2:
+        raise ValueError("need at least two temperatures")
+    if n_chains < 1:
+        raise ValueError("need at least one chain")
+
+
+def _base_biases(D: int, base_means) -> np.ndarray:
+    """Visible biases of the AIS base model: zero, or matched to base_means."""
+    if base_means is None:
+        return np.zeros(D)
+    means = np.clip(np.asarray(base_means, dtype=np.float64), 1e-4, 1 - 1e-4)
+    return logit(means)
+
+
+def _penalty_terms(params: ModelParams) -> tuple:
+    """What `_ais_log_weights` reads of params.penalty: beta of a dynamic
+    penalty (None for a constant one), beta_zero, and the tail's log ratio
+    and log geometric sum."""
+    pen = params.penalty
+    return (pen.beta if pen.mode == "dynamic" else None, pen.beta_zero,
+            pen.log_tail_ratio, pen.log_tail_geometric_sum)
+
+
+def _bootstrap_indices(rng: np.random.Generator, n_chains: int,
+                       n_boot: int) -> np.ndarray:
+    """The resamples' index draws, in the same order as drawing and reducing
+    them one by one; reduced in one call by `_ais_result`."""
+    return np.array([rng.integers(0, n_chains, size=n_chains)
+                     for _ in range(n_boot)]).reshape(n_boot, n_chains)
+
+
+def _ais_result(params: ModelParams, b_base: np.ndarray, log_w: np.ndarray,
+                idx: np.ndarray) -> AisResult:
+    """The log-mean importance weight and its bootstrap standard error."""
+    n_chains = log_w.shape[0]
+    if not np.all(np.isfinite(log_w)):
+        bad = int(np.sum(~np.isfinite(log_w)))
+        raise FloatingPointError(f"{bad}/{n_chains} AIS weights are not finite")
+    est = base_log_partition(params, b_base) + logsumexp(log_w) - np.log(n_chains)
+    boots = log_sum_exp(log_w[idx]) - np.log(n_chains)
+    return AisResult(log_z=float(est), std_err=float(np.std(boots)),
+                     log_weights=log_w)
 
 
 def ais_log_partition(params: ModelParams, n_temps: int, n_chains: int,
@@ -397,59 +476,273 @@ def ais_log_partition(params: ModelParams, n_temps: int, n_chains: int,
     along a geometric inverse-temperature ladder. Returns the log-mean
     importance weight plus a bootstrap standard error.
 
-    One interpolated model is allocated per run and refilled at each
-    temperature. A temperature below the last costs two GEMMs (the target's
-    unit inputs of the chains' visible state, and the sweep's visible
-    means), one scaling pass into that model, and two posterior builds: the
-    current state's, whose log_norm is the weight's numerator and from which
-    the sweep draws z, and the swept state's, the next weight's denominator.
+    The chains run in `_ais_log_weights`. A temperature below the last
+    costs two GEMMs (the target's unit inputs of the chains' visible state,
+    and the sweep's visible means), one scaling pass into the interpolated
+    model, and two posteriors: the current state's, whose log_norm is the
+    weight's numerator and from which the sweep draws z, and the swept
+    state's, the next weight's denominator.
     """
-    if n_temps < 2:
-        raise ValueError("need at least two temperatures")
-    if n_chains < 1:
-        raise ValueError("need at least one chain")
-    if base_means is None:
-        b_base = np.zeros(params.D)
-    else:
-        means = np.clip(np.asarray(base_means, dtype=np.float64), 1e-4, 1 - 1e-4)
-        b_base = logit(means)
+    _check_ais_settings(n_temps, n_chains)
+    b_base = _base_biases(params.D, base_means)
+    log_w = _ais_log_weights(params, _penalty_terms(params), b_base, n_temps,
+                             n_chains, rng)
+    return _ais_result(params, b_base, log_w,
+                       _bootstrap_indices(rng, n_chains, n_boot))
+
+
+def _ais_log_norm(ws: SimpleNamespace, A: np.ndarray, base: np.ndarray,
+                  pen: np.ndarray, out: np.ndarray) -> None:
+    """`ZPosterior.log_norm` of `model.z_posterior(m, V, Y, A=A)` into out,
+    by the same operations, for the model m of one AIS temperature: pen is
+    `m.unit_penalties()` and base the z-independent term of each chain. The
+    posterior's head and tail stay in ws.head and ws.tail for the z draw."""
+    T, M, head, w, tail, mx = ws.T, ws.M, ws.head, ws.w, ws.tail, ws.mx
+    l = T.shape[1]
+    # softplus(A) - pen: the steps of model.softplus, in place
+    np.abs(A, out=T)
+    np.negative(T, out=T)
+    np.exp(T, out=T)
+    np.log1p(T, out=T)
+    np.maximum(A, 0.0, out=M)
+    T += M
+    T -= pen
+    # cumulative_unit_terms, plus base (model._z_weights)
+    np.cumsum(T, axis=-1, out=head[:, :l])
+    np.add(head[:, l - 1], ws.log_tail_ratio, out=head[:, l])
+    head += base[:, None]
+    np.add(head[:, l], ws.log_tail_sum, out=tail)
+    # model.log_sum_exp(head, tail)
+    np.max(head, axis=-1, out=mx)
+    np.maximum(mx, tail, out=mx)
+    mx[~np.isfinite(mx)] = 0.0
+    np.subtract(head, mx[:, None], out=w)
+    np.exp(w, out=w)
+    np.sum(w, axis=-1, out=out)
+    np.subtract(tail, mx, out=ws.t)
+    np.exp(ws.t, out=ws.t)
+    out += ws.t
+    np.log(out, out=out)
+    out += mx
+
+
+def _ais_log_weights(params: ModelParams, penalty: tuple, b_base: np.ndarray,
+                     n_temps: int, n_chains: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """The importance log weights of one AIS run, drawing from rng.
+
+    The draws and their order are those of the composed steps this replaces
+    (`unit_inputs`, `z_posterior` and `sampling.gibbs_sweep` on a model
+    refilled at each temperature), and so are the operations on each value,
+    so every weight keeps its bits; `tests/oracles.ais_building_afresh` is
+    that composition. penalty is `_penalty_terms(params)`. The buffers are
+    allocated once per run. It reads params' arrays and calls numpy and
+    scipy only, so it may run on any thread.
+    """
+    dynamic_beta, beta_zero, ltr, lgs = penalty
+    W, b_v, c, U, d = params.W, params.b_v, params.c, params.U, params.d
+    (l, D), N = W.shape, n_chains
+    labeled = U is not None
     betas = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, n_temps - 1)])
+    ws = SimpleNamespace(T=np.empty((N, l)), M=np.empty((N, l)),
+                         head=np.empty((N, l + 1)), w=np.empty((N, l + 1)),
+                         tail=np.empty(N), mx=np.empty(N), t=np.empty(N),
+                         log_tail_ratio=ltr, log_tail_sum=lgs)
+    # the model at one temperature (`_interpolate` of the composed steps)
+    mW, mb = np.empty_like(W), np.empty_like(b_v)
+    pen = np.full(l, beta_zero) if dynamic_beta is None else np.empty(l)
+    mc = None if dynamic_beta is None else np.empty(l)
+    mU, md = (np.empty_like(U), np.empty_like(d)) if labeled else (None, None)
+    # chain state: G = unit_inputs(params, V, Y), A = beta * G
+    G, A = np.empty((N, l)), np.empty((N, l))
+    V, u_v, P = np.empty((N, D)), np.empty((N, D)), np.empty((N, D))
+    on_v = np.empty((N, D), dtype=bool)
+    H = np.zeros((N, l + 1))
+    u_h = np.empty((N, l + 1))
+    on = np.empty((N, l + 1), dtype=bool)
+    units = np.arange(l + 1)
+    base, ln, prev, u_z, step = (np.empty(N) for _ in range(5))
+    L, u_y = (np.empty((N, U.shape[1])), np.empty(N)) if labeled else (None, None)
+    Wt = W.T
+    Ut = U.T if labeled else None
 
-    V = (rng.random((n_chains, params.D)) < expit(b_base)).astype(np.float64)
-    Y = rng.integers(0, params.C, size=n_chains) if params.has_labels else None
+    def interpolate(beta):
+        """Couplings times beta, visible biases mixed with the base's."""
+        np.multiply(W, beta, out=mW)
+        np.multiply(b_v, beta, out=mb)
+        np.add(mb, (1.0 - beta) * b_base, out=mb)
+        if mc is not None:
+            # dynamic_beta * softplus(c * beta): model.unit_penalties
+            np.multiply(c, beta, out=mc)
+            np.abs(mc, out=pen)
+            np.negative(pen, out=pen)
+            np.exp(pen, out=pen)
+            np.log1p(pen, out=pen)
+            np.add(pen, np.maximum(mc, 0.0), out=pen)
+            np.multiply(pen, dynamic_beta, out=pen)
+        if labeled:
+            np.multiply(U, beta, out=mU)
+            np.multiply(d, beta, out=md)
 
-    def target_inputs(V, Y):
-        """Unit inputs of the target model, from one GEMM per visible state;
-        the model at beta has beta times these."""
-        G = unit_inputs(params, V)
-        return G if Y is None else with_label_inputs(params, G, Y)
+    def target_inputs(Y):
+        np.matmul(V, Wt, out=G)
+        np.add(G, c, out=G)
+        if labeled:
+            np.add(G, Ut[Y], out=G)
 
-    m = _interpolate(params.copy(), params, betas[0], b_base)
-    log_w = np.zeros(n_chains)
-    G = target_inputs(V, Y)
-    prev = z_posterior(m, V, Y, A=betas[0] * G).log_norm
+    def log_norm(beta, Y, out):
+        """The chains' log_norm under the model at beta (refilled)."""
+        np.multiply(G, beta, out=A)
+        np.matmul(V, mb, out=base)
+        if labeled:
+            np.add(base, md[Y], out=base)
+        _ais_log_norm(ws, A, base, pen, out)
+
+    def categorical(p, u):
+        """sampling.categorical_rows of the rows of p, in place, with the
+        row's uniform in u."""
+        np.cumsum(p, axis=-1, out=p)
+        rng.random(out=u)
+        u *= p[:, -1]
+        idx = np.greater_equal(u[:, None], p).sum(axis=1)
+        return np.minimum(idx, p.shape[1] - 1, out=idx)
+
+    np.less(rng.random(out=u_v), expit(b_base), out=on_v)
+    np.copyto(V, on_v)
+    Y = rng.integers(0, U.shape[1], size=N) if labeled else None
+    target_inputs(Y)
+    interpolate(betas[0])
+    log_norm(betas[0], Y, prev)
+    log_w = np.zeros(N)
     for k in range(1, n_temps):
-        _interpolate(m, params, betas[k], b_base)
-        A = betas[k] * G
-        zp = z_posterior(m, V, Y, A=A)
-        log_w += zp.log_norm - prev
-        if k < n_temps - 1:
-            V, Y, _ = gibbs_sweep(m, V, Y, rng, A=A, zp=zp)
-            G = target_inputs(V, Y)
-            prev = z_posterior(m, V, Y, A=betas[k] * G).log_norm
-    if not np.all(np.isfinite(log_w)):
-        bad = int(np.sum(~np.isfinite(log_w)))
-        raise FloatingPointError(f"{bad}/{n_chains} AIS weights are not finite")
+        interpolate(betas[k])
+        log_norm(betas[k], Y, ln)
+        np.subtract(ln, prev, out=step)
+        log_w += step
+        if k == n_temps - 1:
+            break
+        # z from the posterior just read (ZPosterior.sample)
+        p = ws.w
+        np.subtract(ws.head, ln[:, None], out=p)
+        np.exp(p, out=p)
+        np.subtract(ws.tail, ln, out=ws.t)
+        np.exp(ws.t, out=ws.t)
+        p[:, l] += ws.t
+        Z = categorical(p, u_z) + 1
+        # h: sampling.draw_h, units below max(Z) compared
+        K = int(Z.max(initial=0))
+        rng.random(out=u_h)
+        expit(A[:, :min(K, l)], out=p[:, :min(K, l)])
+        p[:, l:K] = 0.5
+        np.less(u_h[:, :K], p[:, :K], out=on[:, :K])
+        on[:, :K] &= units[None, :K] < Z[:, None]
+        H[:, :K] = on[:, :K]
+        H[:, K:] = 0.0
+        # v (and y): sampling.draw_v and draw_y
+        np.matmul(H[:, :l], mW, out=P)
+        P += mb
+        expit(P, out=P)
+        np.less(rng.random(out=u_v), P, out=on_v)
+        np.copyto(V, on_v)
+        if labeled:
+            np.matmul(H[:, :l], mU, out=L)
+            L += md
+            L -= L.max(axis=1, keepdims=True)
+            np.exp(L, out=L)
+            L /= L.sum(axis=1, keepdims=True)
+            Y = categorical(L, u_y)
+        target_inputs(Y)
+        log_norm(betas[k], Y, prev)
+    return log_w
 
-    log_z_base = base_log_partition(params, b_base)
-    est = log_z_base + logsumexp(log_w) - np.log(n_chains)
-    # the resamples' index draws, in the same order as drawing and reducing
-    # them one by one; reduced in one call
-    idx = np.array([rng.integers(0, n_chains, size=n_chains)
-                    for _ in range(n_boot)]).reshape(n_boot, n_chains)
-    boots = log_sum_exp(log_w[idx]) - np.log(n_chains)
-    return AisResult(log_z=float(est), std_err=float(np.std(boots)),
-                     log_weights=log_w)
+
+def _generator_state(rng: np.random.Generator) -> str:
+    """rng's bit generator state in a form that compares with ==."""
+    return json.dumps(rng.bit_generator.state, sort_keys=True,
+                      default=lambda a: a.tolist())
+
+
+@dataclass
+class _AisRun:
+    """One AIS run reserved by `_Ais.reserve`: the model, a copy of the
+    generator at the run's first draw, the state its last uniform leaves the
+    generator in, and the bootstrap indices drawn after that."""
+
+    params: ModelParams
+    penalty: tuple
+    rng: np.random.Generator
+    end: str
+    idx: np.ndarray
+    log_w: np.ndarray | None = None
+
+
+def _make_ais_runs(runs, n_temps: int, n_chains: int, b_base: np.ndarray):
+    """Fill each reserved run's log weights, from its own generator, and
+    check that the generator ends where the reservation left the shared
+    one. Numpy only, so it may run on any thread."""
+    for run in runs:
+        run.log_w = _ais_log_weights(run.params, run.penalty, b_base, n_temps,
+                                     n_chains, run.rng)
+        if _generator_state(run.rng) != run.end:
+            raise RuntimeError("an AIS run did not end where its reservation "
+                               "did: the skipped draws are not the run's")
+
+
+@dataclass
+class _Ais:
+    """The AIS estimator of `log_partition_estimator`: called on any
+    ordering of one model, `ais_log_partition` with these settings, drawing
+    from rng, gives (log Z, its standard error). `reserve` and `make` give
+    the same estimates of several orderings on worker threads."""
+
+    n_temps: int
+    n_chains: int
+    rng: np.random.Generator
+    base_means: np.ndarray
+    n_boot: int = 200
+
+    def __post_init__(self):
+        _check_ais_settings(self.n_temps, self.n_chains)
+
+    def __call__(self, params: ModelParams):
+        result = ais_log_partition(params, self.n_temps, self.n_chains, self.rng,
+                                   base_means=self.base_means, n_boot=self.n_boot)
+        return result.log_z, result.std_err
+
+    def reserve(self, params: ModelParams) -> _AisRun:
+        """Move rng past every draw of one run on params, as if the run had
+        been made, and return the run. The uniforms (initial V, then z, h,
+        v and y of each sweep) are skipped; the label draw and the bootstrap
+        indices, whose draw counts depend on their values, are drawn."""
+        rng, N = self.rng, self.n_chains
+        start = copy.deepcopy(rng)
+        skip_uniforms(rng, N * params.D)
+        if params.has_labels:
+            rng.integers(0, params.C, size=N)
+        sweep = N * (1 + (params.l + 1) + params.D + params.has_labels)
+        skip_uniforms(rng, (self.n_temps - 2) * sweep)
+        end = _generator_state(rng)
+        return _AisRun(params, _penalty_terms(params), start, end,
+                       _bootstrap_indices(rng, N, self.n_boot))
+
+    def make(self, runs: list[_AisRun], caller_work):
+        """Make the reserved runs in `_shares` on `_call_on_threads`: this
+        thread calls caller_work() before its share. Returns what
+        caller_work returned and (log Z, std err) of each run, reduced here
+        in run order."""
+        b_base = _base_biases(runs[0].params.D, self.base_means)
+        shares = [[runs[i] for i in share] for share in _shares(len(runs))]
+
+        def caller():
+            out = caller_work()
+            _make_ais_runs(shares[0], self.n_temps, self.n_chains, b_base)
+            return out
+
+        out = _call_on_threads(
+            [caller] + [partial(_make_ais_runs, share, self.n_temps, self.n_chains,
+                                b_base) for share in shares[1:]])[0]
+        results = [_ais_result(run.params, b_base, run.log_w, run.idx) for run in runs]
+        return out, [(r.log_z, r.std_err) for r in results]
 
 
 def log_partition_estimator(params: ModelParams, X, rng: np.random.Generator,
@@ -466,13 +759,7 @@ def log_partition_estimator(params: ModelParams, X, rng: np.random.Generator,
     if params.D <= cap:
         return "exact", lambda p: (exact_log_partition(p, cap), None)
     base_means = np.atleast_2d(np.asarray(X, dtype=np.float64)).mean(axis=0)
-
-    def ais(p):
-        result = ais_log_partition(p, ais_temps, ais_chains, rng,
-                                   base_means=base_means)
-        return result.log_z, result.std_err
-
-    return "ais", ais
+    return "ais", _Ais(ais_temps, ais_chains, rng, base_means)
 
 
 # -- model orderings and order invariance --------------------------------------
@@ -488,23 +775,27 @@ class OrderPass:
     log_cond_y: np.ndarray | None    # (n, C) log p(y | v); None without labels
 
 
-def order_pass(params: ModelParams, X) -> OrderPass:
+def order_pass(params: ModelParams, X, labels: bool = True) -> OrderPass:
     """One `unit_inputs` pass over X and, for labeled models, one build of
-    the label weights (`model.marginal_z_posterior`), which also gives
-    log p(y | v)."""
+    the label weights (`model.marginal_z_posterior`), which with labels
+    also gives log p(y | v); without, log_cond_y is None and the class-axis
+    reduction is not made."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    log_cond_y = np.empty((X.shape[0], params.C)) if params.has_labels else None
+    log_cond_y = (np.empty((X.shape[0], params.C))
+                  if labels and params.has_labels else None)
     zp = marginal_z_posterior(params, X, log_cond_y=log_cond_y)
     return OrderPass(params, zp, log_pstar(params, X, zp=zp), log_cond_y)
 
 
 def _order_passes(params: ModelParams, X, m: int, n: int,
-                  rng: np.random.Generator, read):
+                  rng: np.random.Generator, read, labels: bool):
     """read(order_pass) of n copies of params, each with its first m units in
-    an order drawn by sample_permutation(m, rng) as the passes are taken.
-    Only what read returns is kept: a pass is dropped before the next."""
+    an order drawn by sample_permutation(m, rng) as the passes are taken;
+    labels says whether read needs log p(y | v). Only what read returns is
+    kept: a pass is dropped before the next."""
     for _ in range(n):
-        yield read(order_pass(apply_permutation(params, sample_permutation(m, rng)), X))
+        p = apply_permutation(params, sample_permutation(m, rng))
+        yield read(order_pass(p, X, labels=labels))
 
 
 @dataclass
@@ -535,7 +826,8 @@ def check_order_invariance(params: ModelParams, X, m: int, n_perms: int,
         params, X, m, max(1, n_perms), rng,
         lambda ev: (ev.zp.mass_at_most(m),
                     float(np.mean(ev.log_pstar)) - exact_log_partition(ev.params, cap)
-                    if exact_ok else None)))
+                    if exact_ok else None),
+        labels=False))
     spread = float(np.max(logliks) - np.min(logliks)) if exact_ok else None
     return InvarianceReport(
         m=m, n_perms=n_perms,
@@ -560,10 +852,34 @@ def permutation_averaged_loglik(params: ModelParams, X, n_perms: int,
     if log_z is None:
         _, log_z = log_partition_estimator(params, X, rng)
     m = params.l if m is None else m
-    per_perm = np.array(list(_order_passes(
-        params, X, m, max(1, n_perms), rng,
-        lambda ev: ev.log_pstar - log_z(ev.params)[0])))
-    return float(np.mean(logsumexp(per_perm, axis=0) - np.log(per_perm.shape[0])))
+    return _permutation_average(params, X, n_perms, rng, m, log_z, own=False)[0]
+
+
+def _permutation_average(params: ModelParams, X, n_perms: int,
+                         rng: np.random.Generator, m: int, log_z, own: bool):
+    """`permutation_averaged_loglik`, and the log Z estimate (log Z, std
+    err) of every ordering it reads, led by params' own order when own.
+
+    The orderings are drawn as `_order_passes` draws them, and each log Z
+    estimate is taken, or for AIS reserved (`_Ais.reserve`), before the
+    next ordering is drawn, so rng ends where estimating them one by one
+    leaves it. Reserved AIS runs are then made on worker threads while this
+    thread makes the order passes (module docstring, "AIS workers").
+    """
+    ais = isinstance(log_z, _Ais)
+    models, estimates = [], []
+    for j in range(own + max(1, n_perms)):
+        p = params if j < own else apply_permutation(params, sample_permutation(m, rng))
+        models.append(p)
+        estimates.append(log_z.reserve(p) if ais else log_z(p))
+
+    def passes():
+        return [order_pass(p, X, labels=False).log_pstar for p in models[own:]]
+
+    lps, estimates = log_z.make(estimates, passes) if ais else (passes(), estimates)
+    per_perm = np.array([lp - z for lp, (z, _) in zip(lps, estimates[own:])])
+    avg = float(np.mean(logsumexp(per_perm, axis=0) - np.log(per_perm.shape[0])))
+    return avg, estimates
 
 
 # -- size estimates and converted-RBM evaluation ------------------------------
@@ -656,7 +972,7 @@ def classification_metrics(params: ModelParams, X, Y, n_perms: int = 1,
         return np.exp(ev_j.log_cond_y), ev_j.zp.head_probs()
 
     reads = ([read(order_pass(params, X) if ev is None else ev)] if reps == 1
-             else _order_passes(params, X, m, reps, rng, read))
+             else _order_passes(params, X, m, reps, rng, read, labels=True))
     p_y = p_z = 0.0
     for py_j, pz_j in reads:
         p_y = p_y + py_j
@@ -686,15 +1002,16 @@ def full_report(params: ModelParams, X, Y=None, n_perms: int = 1, m: int = 0,
     # below two units to permute or with one ordering requested, only the
     # model's own order is read
     report = EvalReport(n_perms=n_perms if n_perms > 1 and m >= 2 else 1)
-    ev = order_pass(params, X)
+    ev = order_pass(params, X, labels=Y is not None)
     report.n_h = effective_hidden_size(params, X, minibatch_size, zp=ev.zp)
     report.method, log_z = log_partition_estimator(params, X, rng, cap,
                                                    ais_temps, ais_chains)
-    report.log_z, report.log_z_std_err = log_z(params)
     if report.n_perms > 1:
-        report.avg_loglik = permutation_averaged_loglik(
-            params, X, n_perms, rng, m=m, log_z=log_z)
+        report.avg_loglik, estimates = _permutation_average(
+            params, X, n_perms, rng, m, log_z, own=True)
+        report.log_z, report.log_z_std_err = estimates[0]
     else:
+        report.log_z, report.log_z_std_err = log_z(params)
         report.avg_loglik = float(np.mean(ev.log_pstar)) - report.log_z
     if Y is not None and params.has_labels:
         error, _, _, hist = classification_metrics(params, X, Y, n_perms, m, rng,

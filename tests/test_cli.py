@@ -505,6 +505,39 @@ def test_perms_below_one_rejected(tmp_path, capsys, command, data):
         assert f"--perms must be >= 1, got {perms}" in capsys.readouterr().err
 
 
+EVAL = ["eval", "{ckpt}", "bars:side=3,n=60,seed=2"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (EVAL + ["--ais-temps", 1], "--ais-temps must be >= 2, got 1"),
+    (EVAL + ["--ais-temps", -4], "--ais-temps must be >= 2, got -4"),
+    (EVAL + ["--ais-chains", 0], "--ais-chains must be >= 1, got 0"),
+    (EVAL + ["--seed", -5], "--seed must be in [0, 2**64), got -5"),
+    (EVAL + ["--seed", 2 ** 64], f"--seed must be in [0, 2**64), got {2 ** 64}"),
+    (["sample", "{ckpt}", "--seed", -1], "--seed must be in [0, 2**64), got -1"),
+    (["check", "{ckpt}", "--seed", 2 ** 64], f"--seed must be in [0, 2**64), got {2 ** 64}"),
+    (["convert-dataset", "--format", "npz", "--npz", "{ckpt}", "--out", "{out}",
+      "--seed", -2], "--seed must be in [0, 2**64), got -2"),
+])
+def test_flags_outside_their_domain_refused_before_loading(tmp_path, capsys, argv, flag):
+    # the checkpoint does not exist: a flag refused up front exits 1 naming
+    # the flag, where loading it would have exited 2
+    paths = {"ckpt": tmp_path / "missing.irbm", "out": tmp_path / "out.ibmp"}
+    assert run([str(a).format(**paths) for a in argv]) == 1
+    assert f"error: {flag}" in capsys.readouterr().err
+    assert not paths["out"].exists()
+
+
+def test_eval_flags_refused_on_an_enumerable_model(tmp_path, capsys):
+    out = train_small(tmp_path, epochs=1)
+    capsys.readouterr()
+    for flags in (["--ais-temps", 1], ["--ais-chains", 0]):
+        assert run(["eval", out / "checkpoint.irbm", "bars:side=3,n=60,seed=2",
+                    "--split", "train", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {flags[0]} must be" in captured.err
+
+
 @pytest.mark.parametrize("perm_length", [1000, -3])
 @pytest.mark.parametrize("perms", [1, 3])
 def test_perm_length_outside_the_pool_rejected(tmp_path, capsys, perm_length,

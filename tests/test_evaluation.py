@@ -1,5 +1,7 @@
 import collections
+import copy
 import itertools
+import json
 import math
 import threading
 import tracemalloc
@@ -33,7 +35,7 @@ from irbm.evaluation import (
 )
 from irbm.evaluation import (
     _block_bits,
-    _enumeration_workers,
+    _worker_count,
     _log_pstar_all,
     _unit_major_log_pstar_all,
     _visible_blocks,
@@ -48,7 +50,7 @@ from irbm.model import (
     zero_model,
     z_posterior,
 )
-from irbm.rng import stream
+from irbm.rng import skip_uniforms, stream
 from irbm.sampling import gibbs_sweep
 from irbm.training import sample_permutation
 
@@ -184,9 +186,10 @@ class TestAis:
     @pytest.mark.parametrize("C", [0, 3])
     @pytest.mark.parametrize("mode", ["constant", "dynamic"])
     @pytest.mark.parametrize("with_base", [False, True])
-    def test_bitwise_equal_to_building_afresh(self, C, mode, with_base):
-        m = make_model(314, D=7, l=5, C=C, scale=0.8, mode=mode)
-        base = random_binary(41, 30, 7).mean(axis=0) if with_base else None
+    @pytest.mark.parametrize("D, l", [(7, 5), (60, 40)])
+    def test_bitwise_equal_to_building_afresh(self, C, mode, with_base, D, l):
+        m = make_model(314, D=D, l=l, C=C, scale=0.8, mode=mode)
+        base = random_binary(41, 30, D).mean(axis=0) if with_base else None
         res = ais_log_partition(m, n_temps=25, n_chains=9,
                                 rng=stream(41, "ais-ref"), base_means=base)
         log_z, std_err, log_w = oracles.ais_building_afresh(
@@ -198,17 +201,17 @@ class TestAis:
     def test_one_posterior_per_chain_state(self, monkeypatch, C):
         # n temperatures weigh n - 1 chain states (the first and n - 2 swept
         # ones), each under two adjacent models: 2n - 2 posteriors, the z
-        # draw of a sweep reusing the one its state's weight was read from
+        # draw of a sweep reusing the one its state's weight was read from;
+        # the AIS kernel builds each in its posterior step
         import irbm.evaluation as ev
-        import irbm.sampling as sm
         built = []
+        step = ev._ais_log_norm
 
         def counted(*args, **kwargs):
             built.append(1)
-            return z_posterior(*args, **kwargs)
+            return step(*args, **kwargs)
 
-        monkeypatch.setattr(ev, "z_posterior", counted)
-        monkeypatch.setattr(sm, "z_posterior", counted)
+        monkeypatch.setattr(ev, "_ais_log_norm", counted)
         n = 10
         ais_log_partition(make_model(315, D=4, l=3, C=C), n_temps=n, n_chains=5,
                           rng=stream(42, "ais-count"))
@@ -647,7 +650,7 @@ def split_model(kind):
 
 
 def force_workers(monkeypatch, k):
-    monkeypatch.setattr("irbm.evaluation._enumeration_workers", lambda blocks: k)
+    monkeypatch.setattr("irbm.evaluation._worker_count", lambda tasks: k)
 
 
 class TestEnumerationWorkers:
@@ -668,8 +671,8 @@ class TestEnumerationWorkers:
                 assert np.array_equal(a, b, equal_nan=True)
 
     def test_default_count_is_two_at_most_and_never_above_the_blocks(self):
-        assert _enumeration_workers(1) == 1
-        assert 1 <= _enumeration_workers(2 ** 10) <= 2
+        assert _worker_count(1) == 1
+        assert 1 <= _worker_count(2 ** 10) <= 2
 
     def test_workers_keep_the_callers_errstate(self, monkeypatch):
         m = split_model("overflow")
@@ -718,3 +721,196 @@ class TestEnumerationWorkers:
             spans.append(collections.Counter(s[0] for s in tr.spans))
         assert spans[0] == spans[1]
         assert spans[0]["evaluation.exact_log_partition"] == 1
+
+
+def ais_case(C):
+    """A model, data and labels whose report takes AIS at cap=0."""
+    model = make_model(970 + C, D=8, l=5, C=C, scale=0.7)
+    X = random_binary(971, 20, 8)
+    return model, X, (np.arange(20) % C if C else None)
+
+
+def generator_state(rng):
+    return json.dumps(rng.bit_generator.state, sort_keys=True,
+                      default=lambda a: a.tolist())
+
+
+class TestAisWorkers:
+    @pytest.mark.parametrize("C", [0, 3])
+    @pytest.mark.parametrize("n_perms", [1, 2, 5])
+    @pytest.mark.parametrize("m", [0, 1, 4])
+    def test_report_does_not_depend_on_the_worker_count(self, monkeypatch, C,
+                                                        n_perms, m):
+        model, X, Y = ais_case(C)
+        outs = []
+        for k in (1, 2, 3):
+            force_workers(monkeypatch, k)
+            for temps, chains in ((2, 1), (6, 1), (6, 4)):
+                rng = stream(972, "ais-workers", C, n_perms, m, temps, chains)
+                report = full_report(model, X, Y, n_perms=n_perms, m=m, rng=rng,
+                                     cap=0, ais_temps=temps, ais_chains=chains)
+                assert report.method == "ais"
+                outs.append((k, report.to_json(), generator_state(rng)))
+        ones = [out[1:] for out in outs if out[0] == 1]
+        for k in (2, 3):
+            assert [out[1:] for out in outs if out[0] == k] == ones
+
+    @pytest.mark.parametrize("C", [0, 3])
+    def test_report_matches_the_runs_made_one_by_one(self, monkeypatch, C):
+        model, X, Y = ais_case(C)
+        force_workers(monkeypatch, 2)
+        rng = stream(973, "ais-serial", C)
+        report = full_report(model, X, Y, n_perms=3, m=4, rng=rng, cap=0,
+                             ais_temps=7, ais_chains=5)
+        ref = stream(973, "ais-serial", C)
+        base = X.mean(axis=0)
+        own = ais_log_partition(model, 7, 5, ref, base_means=base)
+        per = []
+        for _ in range(3):
+            p = apply_permutation(model, sample_permutation(4, ref))
+            per.append(log_pstar(p, X)
+                       - ais_log_partition(p, 7, 5, ref, base_means=base).log_z)
+        if Y is not None:
+            classification_metrics(model, X, Y, 3, 4, ref)
+        assert (report.log_z, report.log_z_std_err) == (own.log_z, own.std_err)
+        assert report.avg_loglik == float(np.mean(logsumexp(per, axis=0) - np.log(3)))
+        assert generator_state(rng) == generator_state(ref)
+
+    @pytest.mark.parametrize("pos", range(5))
+    @pytest.mark.parametrize("pending_half", [False, True])
+    def test_philox_skip_equals_drawing(self, pos, pending_half):
+        for n in (0, 1, 2, 3, 4, 5, 7, 8, 9, 13, 4096, 70001):
+            drawn = stream(974, "skip")
+            drawn.random(6)
+            if pending_half:
+                drawn.random(dtype=np.float32)      # keeps a 32-bit half
+            state = drawn.bit_generator.state
+            assert state["has_uint32"] == pending_half
+            state["buffer_pos"] = pos
+            drawn.bit_generator.state = state
+            skipped = copy.deepcopy(drawn)
+            drawn.random(n)
+            skip_uniforms(skipped, n)
+            assert generator_state(skipped) == generator_state(drawn), n
+            assert skipped.random(dtype=np.float32) == drawn.random(dtype=np.float32)
+            assert skipped.random(9).tobytes() == drawn.random(9).tobytes()
+
+    def test_philox_skip_carries_across_counter_words(self):
+        drawn = stream(975, "carry")
+        state = drawn.bit_generator.state
+        state["state"]["counter"] = np.array([2 ** 64 - 2, 2 ** 64 - 1, 7, 0],
+                                             dtype=np.uint64)
+        drawn.bit_generator.state = state
+        skipped = copy.deepcopy(drawn)
+        drawn.random(41)
+        skip_uniforms(skipped, 41)
+        assert generator_state(skipped) == generator_state(drawn)
+        # 41 draws from an empty buffer make 11 blocks
+        assert list(drawn.bit_generator.state["state"]["counter"]) == [9, 0, 8, 0]
+
+    def test_other_generators_skip_by_drawing(self):
+        for n in (0, 5, 2 ** 16 + 3):
+            drawn = np.random.default_rng(976)
+            drawn.random(dtype=np.float32)
+            skipped = copy.deepcopy(drawn)
+            drawn.random(n)
+            skip_uniforms(skipped, n)
+            assert generator_state(skipped) == generator_state(drawn)
+        with pytest.raises(ValueError):
+            skip_uniforms(drawn, -1)
+
+    @pytest.mark.parametrize("off", [1, -1])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_a_miscounted_skip_raises(self, monkeypatch, off, k):
+        import irbm.evaluation as ev
+        model, X, _ = ais_case(0)
+        skip = ev.skip_uniforms
+        monkeypatch.setattr(ev, "skip_uniforms",
+                            lambda rng, n: skip(rng, max(0, n + off)))
+        force_workers(monkeypatch, k)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="reservation"):
+            full_report(model, X, n_perms=2, m=4, rng=stream(977, "miscount"),
+                        cap=0, ais_temps=5, ais_chains=3)
+        assert threading.active_count() == before
+
+    def test_nonfinite_weights_on_a_worker_raise_in_the_caller(self, monkeypatch):
+        import irbm.evaluation as ev
+        model, X, _ = ais_case(0)
+        force_workers(monkeypatch, 2)
+        caller = threading.get_ident()
+        run = ev._ais_log_weights
+        threads = []
+
+        def flaky(*args):
+            log_w = run(*args)
+            threads.append(threading.get_ident())
+            if threads[-1] != caller:
+                log_w[0] = np.nan
+            return log_w
+
+        monkeypatch.setattr(ev, "_ais_log_weights", flaky)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="1/3 AIS weights"):
+            full_report(model, X, n_perms=2, m=4, rng=stream(978, "nan"),
+                        cap=0, ais_temps=5, ais_chains=3)
+        assert threading.active_count() == before
+        assert threads.count(caller) == 1 and len(threads) == 3
+
+    def test_every_span_opens_on_the_calling_thread(self, monkeypatch):
+        # perfbench's tracer keeps one span stack: the runs on the worker
+        # open none, and every traced call stays on the calling thread
+        import irbm
+        import irbm.evaluation as ev
+        monkeypatch.syspath_prepend(str(PERFBENCH_DIR))
+        import tracer as tracing
+        model, X, _ = ais_case(0)
+        force_workers(monkeypatch, 2)
+        opened, ran = [], []
+        open_span, run = tracing.Tracer._open, ev._ais_log_weights
+
+        def recording_open(self, name):
+            opened.append(threading.get_ident())
+            return open_span(self, name)
+
+        def recording_run(*args):
+            ran.append(threading.get_ident())
+            return run(*args)
+
+        monkeypatch.setattr(tracing.Tracer, "_open", recording_open)
+        monkeypatch.setattr(ev, "_ais_log_weights", recording_run)
+        tr = tracing.Tracer()
+        with tr.installed(irbm):
+            irbm.evaluation.full_report(model, X, n_perms=2, m=4,
+                                        rng=stream(979, "traced"), cap=0,
+                                        ais_temps=6, ais_chains=3)
+        assert len(set(ran)) == 2            # the runs did use a worker
+        assert set(opened) == {threading.get_ident()}
+        assert all(s[3] < i and s[1] <= s[2] for i, s in enumerate(tr.spans))
+        names = collections.Counter(s[0] for s in tr.spans)
+        assert names["evaluation.full_report"] == 1
+        assert names["evaluation.order_pass"] == 3
+
+
+class TestLabelReads:
+    @pytest.mark.parametrize("cap", [0, EXACT_D_CAP])
+    def test_likelihood_passes_reduce_no_class_axis(self, monkeypatch, cap):
+        from irbm.model import ZPosterior
+        model, X, Y = ais_case(3)
+        reduce = ZPosterior.log_label_probs
+        calls = []
+
+        def counted(self):
+            calls.append(1)
+            return reduce(self)
+
+        monkeypatch.setattr(ZPosterior, "log_label_probs", counted)
+        permutation_averaged_loglik(model, X, 3, stream(980, "pa"), m=4)
+        check_order_invariance(model, X, 4, 3, stream(981, "inv"), cap=cap)
+        full_report(model, X, None, n_perms=3, m=4, rng=stream(982, "report"),
+                    cap=cap, ais_temps=5, ais_chains=3)
+        assert calls == []
+        # with labels: the model's own order and the 3 classification passes
+        full_report(model, X, Y, n_perms=3, m=4, rng=stream(982, "report"),
+                    cap=cap, ais_temps=5, ais_chains=3)
+        assert len(calls) == 4

@@ -186,8 +186,17 @@ class TestAis:
     @pytest.mark.parametrize("C", [0, 3])
     @pytest.mark.parametrize("mode", ["constant", "dynamic"])
     @pytest.mark.parametrize("with_base", [False, True])
-    @pytest.mark.parametrize("D, l", [(7, 5), (60, 40)])
-    def test_bitwise_equal_to_building_afresh(self, C, mode, with_base, D, l):
+    def test_bitwise_equal_to_building_afresh(self, C, mode, with_base):
+        self.check_bitwise_equal_to_building_afresh(C, mode, with_base, 7, 5)
+
+    @pytest.mark.parametrize("C", [0, 3])
+    @pytest.mark.parametrize("mode", ["constant", "dynamic"])
+    @pytest.mark.parametrize("with_base", [False, True])
+    def test_bitwise_equal_to_building_afresh_at_scale(self, C, mode, with_base):
+        self.check_bitwise_equal_to_building_afresh(C, mode, with_base, 60, 40)
+
+    @staticmethod
+    def check_bitwise_equal_to_building_afresh(C, mode, with_base, D, l):
         m = make_model(314, D=D, l=l, C=C, scale=0.8, mode=mode)
         base = random_binary(41, 30, D).mean(axis=0) if with_base else None
         res = ais_log_partition(m, n_temps=25, n_chains=9,

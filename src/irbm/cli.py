@@ -679,7 +679,8 @@ def _check_flags(args) -> None:
     seed = getattr(args, "seed", None)
     if seed is not None and not 0 <= seed < 2 ** 64:
         raise ValueError(f"--seed must be in [0, 2**64), got {seed}")
-    for flag, least in (("perms", 1), ("ais_temps", 2), ("ais_chains", 1)):
+    for flag, least in (("perms", 1), ("ais_temps", 2), ("ais_chains", 1),
+                        ("exact_cap", 0), ("steps", 0)):
         value = getattr(args, flag, None)
         if value is not None and value < least:
             name = "--" + flag.replace("_", "-")

@@ -12,9 +12,9 @@ Cost of exact evaluation. One enumeration does 2^D * (l+1) cells of work
 share their high bits (`_visible_blocks`), each block sized to about
 `model.BLOCK_CELLS` cells by the row-block rule `model.block_rows`, but never
 below `MIN_BLOCK_ROWS` rows, so the memory held is the 2^D vector of log p*(v)
-(8 * 2^D bytes) plus one block's temporaries, or for an unlabeled model one
-buffer set of `BLOCKS_PER_PASS` (2) blocks per enumeration worker (at most
-`ENUM_WORKERS`, 2); no 2^D x l array is built.
+(8 * 2^D bytes) plus one block's temporaries, or for an unlabeled model
+two pass buffers per enumeration worker (at most `ENUM_WORKERS`, 2), which
+outlive the call (Pass buffers, below); no 2^D x l array is built.
 Every row gets the same operations as in a one-shot pass over
 `all_binary_vectors(D)`, so per-row values and log Z keep their bits as
 long as BLAS computes a row of `V @ W.T` the same way for a block as for the
@@ -23,8 +23,8 @@ sizes; at l >= 300, whose blocks shrink to `MIN_BLOCK_ROWS` rows, some
 entries move by one unit in the last place.
 
 An unlabeled model is enumerated by `_unit_major_log_pstar_all`, which
-holds the per-unit terms unit-major, (l+1, rows), in buffers allocated once
-per enumeration worker and filled two blocks per pass. Row-major, a
+holds the per-unit terms unit-major, (l+1, rows), in two buffers per
+enumeration worker, filled several blocks per pass. Row-major, a
 visible vector's row is only 10-60 units long on the bars models, and
 numpy's per-row overhead, not arithmetic, is the cost: at 512 rows x 61
 units, `np.cumsum(axis=-1)` takes 123 us and the row maximum 55 us, against
@@ -36,7 +36,7 @@ Each step gives the bits of `log_pstar` on the same block:
   made; a unit-major `W @ V.T` changes bits at some l (250, 300, 333 and
   500 among those tried). Every later step is elementwise, or a maximum or
   sum within one visible vector, so it gives each row the same bits in a
-  pass of one block or of two;
+  pass of any number of blocks;
 - softplus and the penalty are the same ufuncs in the same order, in
   place; `max(x, 0) + t` in place of `t + max(x, 0)` is the same IEEE sum;
 - the cumulative sum over units is l-1 `np.add` calls on row views built
@@ -56,7 +56,7 @@ caller's context; all are joined before the call returns, and a worker's
 error is raised in the caller. One worker starts no thread.
 
 Enumeration workers. An unlabeled enumeration shares out its 2^(D-lo)
-high-bit blocks. Each share has its own buffers and its own V, and
+high-bit blocks. Each share has its own pass buffers and its own V, and
 writes only its own rows of log p*(v), so every row gets the operations of
 the serial loop on the same block, and `_log_pstar_all`, log Z, p(v) and
 the exact gradient keep their bits for any worker count (at one BLAS
@@ -67,14 +67,42 @@ calls numpy only: the low-bit vectors and the unit penalties come from
 the caller, because a tracer that wraps the package's functions from
 outside (perfbench's) keeps one span stack. The GEMMs and the ufunc loops
 release the GIL, but the l per-unit `np.add` calls of a pass hold it for
-their dispatch; a pass of two blocks halves those calls per row, which
-took two workers from 0.69-0.81 to 0.61-0.64 of one worker's time on
-random D=16 models at l from 16 to 57 (median of 11, one BLAS thread, 2
-cores), and moved one worker's time by -7% to +3%. A share with an odd number of blocks
-takes one block per pass. Only two cores were measured, hence at most two
-workers. Labeled models stay serial: their blocks call the public,
-traceable `label_joint_log_weights`, and no workload enumerates a labeled
-model.
+their dispatch, so the more rows a pass covers, the fewer such calls per
+row. Only two cores were measured, hence at most two workers. Labeled
+models stay serial: their blocks call the public, traceable
+`label_joint_log_weights`, and no workload enumerates a labeled model.
+
+Pass buffers. A share of an unlabeled enumeration takes, per pass, the
+largest power-of-two number of its blocks that divides the share and keeps
+the pass within `PASS_CELLS` (2^17) cells of rows * (l+2), and at least one
+block (`_pass_blocks`). It works in two flat float64 buffers of that many
+cells, each view a C-contiguous reshape of a prefix or a slice of one:
+
+- the first holds the log weights `head`, (l+1, rows), and then the row
+  maximum m in its last `rows` cells; once the shifted weights are made,
+  `head` is spent and its first row takes the sum over z;
+- the second holds in turn the GEMM output A, (rows, l), dead once its
+  transposed copy is made; the softplus scratch, (l, rows); and the
+  shifted weights w, (rows, l+1). Its last `rows` cells hold v.b_v until
+  it is added to `head`, and then the tail's log weight.
+
+Each is written before it is read in every pass, so whatever a failed call
+left there is never read. The buffers belong to the calling thread
+(`_pass_buffers`, a `threading.local`): it keeps one set per share of its
+latest call, sized 8 * max(PASS_CELLS, one block's rows * (l+2)) bytes at
+most per buffer, reallocated only when a call needs more cells, and drops
+the sets of shares a call does not have. So after the call returns, the
+thread holds 2 MB per share at the default budget, 4 MB with two workers,
+until its next call; the workers are started for each call and keep
+nothing. Held across calls, the buffers are no longer allocated and
+written into fresh pages on every enumeration, which had cost
+`bars16-rp-exact` system CPU and minor page faults, and half the cells per
+row of the four unaliased buffers before let a pass be twice as large at
+the same memory. On random D=16 models at l from 4 to 60, the kernel took
+0.86-0.99 of the time of two blocks per pass in four buffers with one
+worker and 0.88-0.94 with two (median of 11 alternating in-process calls,
+one BLAS thread, 2-core Xeon); budgets of 2^15, 2^16 and 2^18 cells did no
+better.
 
 Labeled models run `log_pstar` per block; it is also the reference the
 kernel is tested against.
@@ -116,6 +144,7 @@ import contextvars
 import copy
 import json
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -142,9 +171,13 @@ from .training import sample_permutation
 EXACT_D_CAP = 14
 MIN_BLOCK_ROWS = 2 ** 6
 ENUM_WORKERS = 2
-# enumeration blocks per pass of the unlabeled kernel: a pass's per-unit
-# np.add calls, which take the GIL, each cover this many blocks' rows
-BLOCKS_PER_PASS = 2
+# cells (float64) in each of the two pass buffers of an unlabeled
+# enumeration worker: a pass's per-unit np.add calls, which take the GIL,
+# cover as many blocks' rows as fit in this budget
+PASS_CELLS = 2 ** 17
+
+# the calling thread's enumeration pass buffers, kept for its next call
+_pass_cache = threading.local()
 
 
 def all_binary_vectors(D: int) -> np.ndarray:
@@ -230,36 +263,72 @@ def _call_on_threads(tasks) -> list:
 def _unit_major_log_pstar_all(params: ModelParams) -> np.ndarray:
     """log_pstar of every visible vector of an unlabeled model, with the
     bits of `log_pstar` on each `_visible_blocks` block. The high-bit blocks
-    are split into `_shares`, one per worker of `_call_on_threads`."""
-    D, lo = params.D, _block_bits(params)
+    are split into `_shares`, one per worker of `_call_on_threads`, and each
+    share gets its pass size and one of this thread's `_pass_buffers` sets."""
+    D, l, lo = params.D, params.l, _block_bits(params)
     # traced package calls stay on this thread; workers call numpy only
     low = all_binary_vectors(lo)
     penalties = params.unit_penalties()[:, None]
     lp = np.empty(2 ** D)
-    _call_on_threads([partial(_unit_major_share, params, penalties, low, his, lp)
-                      for his in _shares(2 ** (D - lo))])
+    shares = _shares(2 ** (D - lo))
+    per_pass = [_pass_blocks(len(his), low.shape[0], l) for his in shares]
+    sets = _pass_buffers([k * low.shape[0] * (l + 2) for k in per_pass])
+    _call_on_threads([partial(_unit_major_share, params, penalties, low, his, lp,
+                              k, buffers)
+                      for his, k, buffers in zip(shares, per_pass, sets)])
     return lp
 
 
+def _pass_blocks(blocks: int, R: int, l: int) -> int:
+    """Blocks per pass for a share of `blocks` blocks of R rows: the largest
+    power of two that divides `blocks` and keeps a pass's rows * (l+2)
+    cells within PASS_CELLS, and at least one."""
+    k = 1
+    while blocks % (2 * k) == 0 and 2 * k * R * (l + 2) <= PASS_CELLS:
+        k *= 2
+    return k
+
+
+def _pass_buffers(cells: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Two flat float64 buffers of at least cells[i] each for share i,
+    kept by the calling thread for its next call. A set is reallocated
+    only when it is too small, and the sets beyond len(cells) are dropped,
+    so the thread holds one set per share of its latest call."""
+    if not hasattr(_pass_cache, "sets"):
+        _pass_cache.sets = []
+    sets = _pass_cache.sets
+    del sets[len(cells):]
+    sets += [None] * (len(cells) - len(sets))
+    for i, n in enumerate(cells):
+        if sets[i] is None or sets[i][0].size < n:
+            sets[i] = None                      # free the old set first
+            sets[i] = (np.empty(n), np.empty(n))
+    return list(sets)
+
+
 def _unit_major_share(params: ModelParams, penalties: np.ndarray,
-                      low: np.ndarray, his: range, lp: np.ndarray) -> None:
+                      low: np.ndarray, his: range, lp: np.ndarray,
+                      per_pass: int, buffers: tuple) -> None:
     """Write log_pstar of the blocks whose high bits are in his into their
-    rows of lp, from buffers allocated once per share. The per-unit terms
-    are held unit-major, (l+1, rows), so the cumulative sum and the maximum
-    over z run across whole rows of cells instead of along each visible
-    vector's short row; the module docstring says why each step keeps its
-    bits. A pass takes BLOCKS_PER_PASS blocks when they divide the share:
-    each block's GEMMs fill their own rows, and every later step runs once
-    over the rows of the pass. Calls numpy only, so it may run on any
-    thread."""
+    rows of lp, per_pass blocks at a time, in the two flat buffers given.
+    The per-unit terms are held unit-major, (l+1, rows), so the cumulative
+    sum and the maximum over z run across whole rows of cells instead of
+    along each visible vector's short row; the module docstring says why
+    each step keeps its bits. Each block's GEMMs fill their own rows of a
+    pass, and every later step runs once over the rows of the pass. Calls
+    numpy only, so it may run on any thread."""
     l, R = params.l, low.shape[0]
-    per_pass = BLOCKS_PER_PASS if len(his) % BLOCKS_PER_PASS == 0 else 1
     rows = per_pass * R
-    A = np.empty((rows, l))              # unit inputs, row-major as in BLAS
-    head = np.empty((l + 1, rows))       # log weights of z = 1..l+1
-    tmp = np.empty((l, rows))
-    w = np.empty((rows, l + 1))          # shifted weights, row-major
-    base, m, tail, s = (np.empty(rows) for _ in range(4))
+    first, second = buffers
+    head = first[:(l + 1) * rows].reshape(l + 1, rows)   # log weights of z = 1..l+1
+    m = first[(l + 1) * rows:(l + 2) * rows]
+    s = first[:rows]                     # written once head is spent
+    # the second buffer holds in turn the unit inputs, the softplus scratch
+    # and the shifted weights; its last row, v.b_v and then the tail
+    A = second[:rows * l].reshape(rows, l)           # row-major as in BLAS
+    tmp = second[:l * rows].reshape(l, rows)
+    w = second[:rows * (l + 1)].reshape(rows, l + 1)
+    base = tail = second[(l + 1) * rows:(l + 2) * rows]
     T = head[:l]
     z_rows = list(head)
     Wt = params.W.T

@@ -514,6 +514,9 @@ EVAL = ["eval", "{ckpt}", "bars:side=3,n=60,seed=2"]
     (EVAL + ["--ais-chains", 0], "--ais-chains must be >= 1, got 0"),
     (EVAL + ["--seed", -5], "--seed must be in [0, 2**64), got -5"),
     (EVAL + ["--seed", 2 ** 64], f"--seed must be in [0, 2**64), got {2 ** 64}"),
+    (EVAL + ["--exact-cap", -1], "--exact-cap must be >= 0, got -1"),
+    (["check", "{ckpt}", "--exact-cap", -3], "--exact-cap must be >= 0, got -3"),
+    (["sample", "{ckpt}", "--steps", -4], "--steps must be >= 0, got -4"),
     (["sample", "{ckpt}", "--seed", -1], "--seed must be in [0, 2**64), got -1"),
     (["check", "{ckpt}", "--seed", 2 ** 64], f"--seed must be in [0, 2**64), got {2 ** 64}"),
     (["convert-dataset", "--format", "npz", "--npz", "{ckpt}", "--out", "{out}",
@@ -526,6 +529,14 @@ def test_flags_outside_their_domain_refused_before_loading(tmp_path, capsys, arg
     assert run([str(a).format(**paths) for a in argv]) == 1
     assert f"error: {flag}" in capsys.readouterr().err
     assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("argv", [EVAL + ["--exact-cap", 0],
+                                  ["check", "{ckpt}", "--exact-cap", 0],
+                                  ["sample", "{ckpt}", "--steps", 0]])
+def test_zero_cap_and_steps_pass_the_flag_check(argv):
+    # --exact-cap 0 means always AIS, and --steps 0 samples the initial chains
+    cli._check_flags(build_parser().parse_args([str(a) for a in argv]))
 
 
 def test_eval_flags_refused_on_an_enumerable_model(tmp_path, capsys):

@@ -6,6 +6,7 @@ import math
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import oracles
 from conftest import make_model, random_binary
 from irbm.evaluation import (
     EXACT_D_CAP,
+    PASS_CELLS,
     EvalReport,
     ais_log_partition,
     all_binary_vectors,
@@ -37,6 +39,9 @@ from irbm.evaluation import (
     _block_bits,
     _worker_count,
     _log_pstar_all,
+    _pass_blocks,
+    _pass_cache,
+    _shares,
     _unit_major_log_pstar_all,
     _visible_blocks,
 )
@@ -662,22 +667,60 @@ def force_workers(monkeypatch, k):
     monkeypatch.setattr("irbm.evaluation._worker_count", lambda tasks: k)
 
 
+def pass_model(kind):
+    """The kind's enumeration model at the smallest D with eight or more
+    high-bit blocks, so that one share can take eight blocks a pass."""
+    for D in (11, 14, 16, 17):
+        m = enum_model(D, kind)
+        if 2 ** (D - _block_bits(m)) >= 8:
+            return m
+    raise AssertionError(kind)
+
+
+def block_cells(m):
+    """Cells of one enumeration block in one pass buffer: rows x (l+2)."""
+    return 2 ** _block_bits(m) * (m.l + 2)
+
+
+def kept_bytes(m):
+    """Enumerate m, then list the bytes of each pass-buffer set that the
+    calling thread keeps."""
+    with np.errstate(all="ignore"):
+        _log_pstar_all(m)
+    return [a.nbytes + b.nbytes for a, b in _pass_cache.sets]
+
+
+def on_a_new_thread(fn):
+    """fn() on a thread of its own, whose kept buffers start empty."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn).result()
+
+
 class TestEnumerationWorkers:
     @pytest.mark.parametrize("kind", WORKER_KINDS)
     def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch, kind):
-        # nor on the blocks a pass takes: 2 by default, 1 for an odd share
-        m = split_model(kind)
-        results = []
-        for k, per_pass in itertools.product(WORKER_COUNTS, (1, 2, 4)):
+        # nor on the blocks a pass takes: PASS_CELLS sized for 1, 2, 4 and 8
+        # blocks, and a share takes fewer when its block count is odd
+        m = pass_model(kind)
+        cells = block_cells(m)
+        taken = set()
+
+        def recorded(*args):
+            taken.add(_pass_blocks(*args))
+            return _pass_blocks(*args)
+
+        monkeypatch.setattr("irbm.evaluation._pass_blocks", recorded)
+        first = None
+        for k, per_pass in itertools.product(WORKER_COUNTS, (1, 2, 4, 8)):
             force_workers(monkeypatch, k)
-            monkeypatch.setattr("irbm.evaluation.BLOCKS_PER_PASS", per_pass)
+            monkeypatch.setattr("irbm.evaluation.PASS_CELLS", per_pass * cells)
             with np.errstate(all="ignore"):
-                results.append((_log_pstar_all(m),
-                                np.float64(exact_log_partition(m, cap=16)),
-                                exact_visible_distribution(m, cap=16)))
-        for got in results[1:]:
-            for a, b in zip(got, results[0]):
+                got = (_log_pstar_all(m), np.float64(exact_log_partition(m, cap=m.D)),
+                       exact_visible_distribution(m, cap=m.D))
+            first = first or got
+            for a, b in zip(got, first):
                 assert np.array_equal(a, b, equal_nan=True)
+        assert taken == {1, 2, 4, 8}
 
     def test_default_count_is_two_at_most_and_never_above_the_blocks(self):
         assert _worker_count(1) == 1
@@ -730,6 +773,94 @@ class TestEnumerationWorkers:
             spans.append(collections.Counter(s[0] for s in tr.spans))
         assert spans[0] == spans[1]
         assert spans[0]["evaluation.exact_log_partition"] == 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_pool_grown_unit_by_unit_keeps_the_bits(self, monkeypatch, k):
+        # the bars pattern, one enumeration per pool size: the kept pass
+        # buffers are reused, grown and cut to new shapes as blocks shrink
+        force_workers(monkeypatch, k)
+        rng = np.random.default_rng(980)
+        m = make_model(980, D=12, l=1, scale=0.5)
+        for l in range(1, 71):
+            if l > 1:
+                m.grow()
+                m.W[-1] = rng.normal(0.0, 0.5, m.D)
+                m.c[-1] = rng.normal(0.0, 0.5)
+            want = np.concatenate([log_pstar(m, V) for _, V in _visible_blocks(m)])
+            assert np.array_equal(_log_pstar_all(m), want), l
+
+    def test_two_callers_at_once_each_get_their_serial_bits(self, monkeypatch):
+        # each calling thread keeps its own buffers
+        models = [make_model(985, D=14, l=12, scale=0.5),
+                  make_model(986, D=14, l=45, scale=0.5)]
+        force_workers(monkeypatch, 1)
+        want = [_log_pstar_all(m) for m in models]
+        force_workers(monkeypatch, 2)
+        start = threading.Barrier(2)
+        got = [[], []]
+
+        def enumerate_repeatedly(i):
+            start.wait()
+            for _ in range(4):
+                got[i].append(_log_pstar_all(models[i]))
+
+        callers = [threading.Thread(target=enumerate_repeatedly, args=(i,))
+                   for i in range(2)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join()
+        for lps, w in zip(got, want):
+            assert len(lps) == 4
+            assert all(np.array_equal(lp, w) for lp in lps)
+
+    def test_a_call_after_a_failed_worker_keeps_the_bits(self, monkeypatch):
+        # the worker fails in its second pass, leaving its buffers mid-pass
+        m = pass_model("plain")
+        force_workers(monkeypatch, 1)
+        want = _log_pstar_all(m)
+        force_workers(monkeypatch, 2)
+        caller = threading.get_ident()
+        log1p = np.log1p
+        worker_calls = []
+
+        def flaky(*args, **kwargs):
+            if threading.get_ident() != caller:
+                worker_calls.append(1)
+                if len(worker_calls) == 2:
+                    raise RuntimeError("worker failed")
+            return log1p(*args, **kwargs)
+
+        monkeypatch.setattr(np, "log1p", flaky)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            _log_pstar_all(m)
+        monkeypatch.setattr(np, "log1p", log1p)
+        assert np.array_equal(_log_pstar_all(m), want)
+
+    @pytest.mark.parametrize("budget", [PASS_CELLS, 2 ** 10])
+    @pytest.mark.parametrize("kind", WORKER_KINDS)
+    def test_kept_buffers_stay_within_two_per_share(self, monkeypatch, kind, budget):
+        # the small budget is below one block's cells for every kind
+        monkeypatch.setattr("irbm.evaluation.PASS_CELLS", budget)
+        m = pass_model(kind)
+        shares = len(_shares(2 ** (m.D - _block_bits(m))))
+        held = on_a_new_thread(lambda: kept_bytes(m))
+        assert len(held) == shares
+        assert sum(held) <= 2 * shares * max(budget, block_cells(m)) * 8
+
+    def test_a_call_drops_the_buffers_of_shares_it_does_not_have(self, monkeypatch):
+        m = pass_model("plain")
+        blocks = 2 ** (m.D - _block_bits(m))
+        force_workers(monkeypatch, 1000)
+
+        def forced_then_default():
+            assert len(kept_bytes(m)) == blocks
+            monkeypatch.setattr("irbm.evaluation._worker_count", _worker_count)
+            return kept_bytes(m)
+
+        held = on_a_new_thread(forced_then_default)
+        assert len(held) == len(_shares(blocks)) == _worker_count(blocks)
+        assert sum(held) <= 2 * len(held) * max(PASS_CELLS, block_cells(m)) * 8
 
 
 def ais_case(C):

@@ -89,20 +89,22 @@ cells, each view a C-contiguous reshape of a prefix or a slice of one:
 Each is written before it is read in every pass, so whatever a failed call
 left there is never read. The buffers belong to the calling thread
 (`_pass_buffers`, a `threading.local`): it keeps one set per share of its
-latest call, sized 8 * max(PASS_CELLS, one block's rows * (l+2)) bytes at
-most per buffer, reallocated only when a call needs more cells, and drops
-the sets of shares a call does not have. So after the call returns, the
-thread holds 2 MB per share at the default budget, 4 MB with two workers,
-until its next call; the workers are started for each call and keep
-nothing. Held across calls, the buffers are no longer allocated and
-written into fresh pages on every enumeration, which had cost
-`bars16-rp-exact` system CPU and minor page faults, and half the cells per
-row of the four unaliased buffers before let a pass be twice as large at
-the same memory. On random D=16 models at l from 4 to 60, the kernel took
-0.86-0.99 of the time of two blocks per pass in four buffers with one
-worker and 0.88-0.94 with two (median of 11 alternating in-process calls,
-one BLAS thread, 2-core Xeon); budgets of 2^15, 2^16 and 2^18 cells did no
-better.
+latest call, at most 8 * max(PASS_CELLS, one block's rows * (l+2)) bytes
+per buffer, reallocated only when a call needs more cells, and drops the
+sets of shares a call does not have. So the memory outlives the call: at
+the default budget the thread holds up to 2 MB per share, 4 MB with two
+workers, until its next call. The workers are started for each call and
+keep nothing.
+
+Measured against two blocks per pass in four buffers allocated per call
+(one BLAS thread, 2-core Xeon): on random D=16 models at l from 4 to 60,
+the kernel took 0.86-0.99 of the time with one worker and 0.88-0.94 with
+two (median of 11 alternating in-process calls); budgets of 2^15, 2^16 and
+2^18 cells did no better. On the `bars16-rp-exact` benchmark workload (10
+pairs, `BENCH_pass_cells.json`), `epoch_s_p50` fell in 10 of 10 pairs, from
+a median of 0.0310 to 0.0299 s, minor page faults per 25 s run from 377k to
+77k, and system CPU from 2.41 to 1.39 s, with `peak_rss_mb` at 65.5 and
+65.4 MB.
 
 Labeled models run `log_pstar` per block; it is also the reference the
 kernel is tested against.
@@ -303,7 +305,7 @@ def _pass_buffers(cells: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
         if sets[i] is None or sets[i][0].size < n:
             sets[i] = None                      # free the old set first
             sets[i] = (np.empty(n), np.empty(n))
-    return list(sets)
+    return sets
 
 
 def _unit_major_share(params: ModelParams, penalties: np.ndarray,
@@ -324,7 +326,7 @@ def _unit_major_share(params: ModelParams, penalties: np.ndarray,
     m = first[(l + 1) * rows:(l + 2) * rows]
     s = first[:rows]                     # written once head is spent
     # the second buffer holds in turn the unit inputs, the softplus scratch
-    # and the shifted weights; its last row, v.b_v and then the tail
+    # and the shifted weights; its last `rows` cells v.b_v, then the tail
     A = second[:rows * l].reshape(rows, l)           # row-major as in BLAS
     tmp = second[:l * rows].reshape(l, rows)
     w = second[:rows * (l + 1)].reshape(rows, l + 1)
@@ -405,7 +407,8 @@ def log_pstar(params: ModelParams, v, *, zp=None) -> np.ndarray:
 def exact_log_partition(params: ModelParams, cap: int = EXACT_D_CAP) -> float:
     """log Z by enumerating every visible vector; the z sum is a finite head
     plus the closed-form geometric tail, and labeled models also sum over y.
-    Holds 8 * 2^D bytes plus one enumeration block."""
+    Holds 8 * 2^D bytes plus one enumeration block, or for an unlabeled
+    model the pass buffers (module docstring)."""
     _require_small(params, cap)
     return _logsumexp_overwrite(_log_pstar_all(params))
 

@@ -514,13 +514,13 @@ EVAL = ["eval", "{ckpt}", "bars:side=3,n=60,seed=2"]
     (EVAL + ["--ais-chains", 0], "--ais-chains must be >= 1, got 0"),
     (EVAL + ["--seed", -5], "--seed must be in [0, 2**64), got -5"),
     (EVAL + ["--seed", 2 ** 64], f"--seed must be in [0, 2**64), got {2 ** 64}"),
-    (EVAL + ["--exact-cap", -1], "--exact-cap must be >= 0, got -1"),
-    (["check", "{ckpt}", "--exact-cap", -3], "--exact-cap must be >= 0, got -3"),
-    (["sample", "{ckpt}", "--steps", -4], "--steps must be >= 0, got -4"),
     (["sample", "{ckpt}", "--seed", -1], "--seed must be in [0, 2**64), got -1"),
     (["check", "{ckpt}", "--seed", 2 ** 64], f"--seed must be in [0, 2**64), got {2 ** 64}"),
     (["convert-dataset", "--format", "npz", "--npz", "{ckpt}", "--out", "{out}",
       "--seed", -2], "--seed must be in [0, 2**64), got -2"),
+    (EVAL + ["--exact-cap", -1], "--exact-cap must be >= 0, got -1"),
+    (["check", "{ckpt}", "--exact-cap", -3], "--exact-cap must be >= 0, got -3"),
+    (["sample", "{ckpt}", "--steps", -4], "--steps must be >= 0, got -4"),
 ])
 def test_flags_outside_their_domain_refused_before_loading(tmp_path, capsys, argv, flag):
     # the checkpoint does not exist: a flag refused up front exits 1 naming

@@ -717,7 +717,8 @@ class TestEnumerationWorkers:
             with np.errstate(all="ignore"):
                 got = (_log_pstar_all(m), np.float64(exact_log_partition(m, cap=m.D)),
                        exact_visible_distribution(m, cap=m.D))
-            first = first or got
+            if first is None:
+                first = got
             for a, b in zip(got, first):
                 assert np.array_equal(a, b, equal_nan=True)
         assert taken == {1, 2, 4, 8}
@@ -800,7 +801,7 @@ class TestEnumerationWorkers:
         got = [[], []]
 
         def enumerate_repeatedly(i):
-            start.wait()
+            start.wait(timeout=60)
             for _ in range(4):
                 got[i].append(_log_pstar_all(models[i]))
 
@@ -809,7 +810,8 @@ class TestEnumerationWorkers:
         for t in callers:
             t.start()
         for t in callers:
-            t.join()
+            t.join(timeout=60)
+            assert not t.is_alive()
         for lps, w in zip(got, want):
             assert len(lps) == 4
             assert all(np.array_equal(lp, w) for lp in lps)

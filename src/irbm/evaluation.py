@@ -37,15 +37,15 @@ Each step gives the bits of `log_pstar` on the same block:
   500 among those tried). Every later step is elementwise, or a maximum or
   sum within one visible vector, so it gives each row the same bits in a
   pass of any number of blocks;
-- softplus and the penalty are the same ufuncs in the same order, in
-  place; `max(x, 0) + t` in place of `t + max(x, 0)` is the same IEEE sum;
+- softplus is `model._softplus`, the core of `softplus`, in place, and
+  the penalty is subtracted as in `cumulative_unit_terms`;
 - the cumulative sum over units is l-1 `np.add` calls on row views built
   once, each adding the next unit to the running sum, as the sequential
   `np.cumsum` does;
-- the maximum over z is taken along the unit axis: a maximum is exact in
-  any order;
-- the sum over z runs as `np.sum(axis=-1)` on a row-major copy, so numpy's
-  pairwise summation groups the terms as it does on each row of `log_pstar`.
+- the log-sum-exp over z is `model._log_sum_exp` on the transposed
+  weights: a maximum is exact in any order, and the shifted weights are
+  summed in a row-major buffer, so numpy's pairwise summation groups the
+  terms as it does on each row of `log_pstar`.
 
 Worker threads. Work that the module splits across threads is cut into
 contiguous `_shares`, one per worker, with min(`ENUM_WORKERS`, the CPUs
@@ -62,11 +62,14 @@ the serial loop on the same block, and `_log_pstar_all`, log Z, p(v) and
 the exact gradient keep their bits for any worker count (at one BLAS
 thread, as everywhere; a multi-threaded BLAS may split a block's GEMM
 differently when two calls run at once). A worker runs in a copy of the
-caller's context, so the caller's `np.errstate` holds there too, and it
-calls numpy only: the low-bit vectors and the unit penalties come from
-the caller, because a tracer that wraps the package's functions from
-outside (perfbench's) keeps one span stack. The GEMMs and the ufunc loops
-release the GIL, but the l per-unit `np.add` calls of a pass hold it for
+caller's context, so the caller's `np.errstate` holds there too. Workers
+call numpy and the private cores of `model` and `sampling` only, and the
+cores must be function objects of their own, outside `training`: a tracer
+that wraps the package's functions from outside (perfbench's) keeps one
+span stack, wraps the public functions, private ones only in `training`,
+and in every namespace anything identical to a function it wraps. So the
+low-bit vectors and the unit penalties come from the caller. The GEMMs
+and the ufunc loops release the GIL, but the l per-unit `np.add` calls of a pass hold it for
 their dispatch, so the more rows a pass covers, the fewer such calls per
 row. Only two cores were measured, hence at most two workers. Labeled
 models stay serial: their blocks call the public, traceable
@@ -75,12 +78,11 @@ models stay serial: their blocks call the public, traceable
 Pass buffers. A share of an unlabeled enumeration takes, per pass, the
 largest power-of-two number of its blocks that divides the share and keeps
 the pass within `PASS_CELLS` (2^17) cells of rows * (l+2), and at least one
-block (`_pass_blocks`). It works in two flat float64 buffers of that many
-cells, each view a C-contiguous reshape of a prefix or a slice of one:
+block (`_pass_blocks`). It works in two flat float64 buffers of at least
+that many cells, each view a C-contiguous reshape of a prefix or a slice of one:
 
-- the first holds the log weights `head`, (l+1, rows), and then the row
-  maximum m in its last `rows` cells; once the shifted weights are made,
-  `head` is spent and its first row takes the sum over z;
+- the first holds the log weights `head`, (l+1, rows), and the row
+  maximum m in its last `rows` cells;
 - the second holds in turn the GEMM output A, (rows, l), dead once its
   transposed copy is made; the softplus scratch, (l, rows); and the
   shifted weights w, (rows, l+1). Its last `rows` cells hold v.b_v until
@@ -89,22 +91,16 @@ cells, each view a C-contiguous reshape of a prefix or a slice of one:
 Each is written before it is read in every pass, so whatever a failed call
 left there is never read. The buffers belong to the calling thread
 (`_pass_buffers`, a `threading.local`): it keeps one set per share of its
-latest call, at most 8 * max(PASS_CELLS, one block's rows * (l+2)) bytes
-per buffer, reallocated only when a call needs more cells, and drops the
-sets of shares a call does not have. So the memory outlives the call: at
-the default budget the thread holds up to 2 MB per share, 4 MB with two
+latest call, reallocated when a call needs more cells or half of them or
+fewer, so below 16 * max(PASS_CELLS, one block's rows * (l+2)) bytes per
+buffer, and drops the sets of shares a call does not have. So the memory
+outlives the call: at the default budget the thread holds up to 2 MB per share, 4 MB with two
 workers, until its next call. The workers are started for each call and
 keep nothing.
 
-Measured against two blocks per pass in four buffers allocated per call
-(one BLAS thread, 2-core Xeon): on random D=16 models at l from 4 to 60,
-the kernel took 0.86-0.99 of the time with one worker and 0.88-0.94 with
-two (median of 11 alternating in-process calls); budgets of 2^15, 2^16 and
-2^18 cells did no better. On the `bars16-rp-exact` benchmark workload (10
-pairs, `BENCH_pass_cells.json`), `epoch_s_p50` fell in 10 of 10 pairs, from
-a median of 0.0310 to 0.0299 s, minor page faults per 25 s run from 377k to
-77k, and system CPU from 2.41 to 1.39 s, with `peak_rss_mb` at 65.5 and
-65.4 MB.
+On random D=16 models at l = 4-60 (one BLAS thread, 2-core Xeon), budgets
+of 2^15, 2^16 and 2^18 cells did no better than 2^17;
+`BENCH_pass_cells.json` holds the benchmark pairs.
 
 Labeled models run `log_pstar` per block; it is also the reference the
 kernel is tested against.
@@ -130,9 +126,9 @@ values (`tests/oracles.ais_building_afresh`), so the report and the
 generator's final state keep their bits for any worker count (at one BLAS
 thread, as above). A worker checks that its generator ends at the reserved
 state and raises otherwise, so a skip that miscounts cannot go unseen. The
-kernel calls numpy and scipy only, and each run's reduction
-(`base_log_partition`, the bootstrap) runs on the caller, because of the
-tracer's one span stack: in a traced run, the AIS sweeps open no spans. A
+kernel calls numpy, scipy and the private cores only, by the rule above,
+and each run's reduction (`base_log_partition`, the bootstrap) runs on the
+caller: in a traced run, the AIS sweeps open no spans. A
 run in flight holds its scaled copy of W, 8 * l * D bytes (3.1 MB at l=500,
 D=784), and about 8 * chains * (8l + 3D) bytes of chain buffers; each
 reserved run holds its ordering's model and its bootstrap indices until
@@ -150,7 +146,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import expit, logit, logsumexp
@@ -159,6 +154,10 @@ from .model import (
     ModelParams,
     ParamBundle,
     ZPosterior,
+    _clamped_probs,
+    _cumulative_unit_terms,
+    _log_sum_exp,
+    _softplus,
     apply_permutation,
     block_rows,
     free_energy,
@@ -168,6 +167,7 @@ from .model import (
     z_posterior,
 )
 from .rng import skip_uniforms
+from .sampling import _categorical_rows, _draw_h, _draw_v, _draw_y
 from .training import sample_permutation
 
 EXACT_D_CAP = 14
@@ -268,7 +268,7 @@ def _unit_major_log_pstar_all(params: ModelParams) -> np.ndarray:
     are split into `_shares`, one per worker of `_call_on_threads`, and each
     share gets its pass size and one of this thread's `_pass_buffers` sets."""
     D, l, lo = params.D, params.l, _block_bits(params)
-    # traced package calls stay on this thread; workers call numpy only
+    # traced package calls stay on this thread; workers call numpy and cores
     low = all_binary_vectors(lo)
     penalties = params.unit_penalties()[:, None]
     lp = np.empty(2 ** D)
@@ -292,17 +292,18 @@ def _pass_blocks(blocks: int, R: int, l: int) -> int:
 
 
 def _pass_buffers(cells: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Two flat float64 buffers of at least cells[i] each for share i,
-    kept by the calling thread for its next call. A set is reallocated
-    only when it is too small, and the sets beyond len(cells) are dropped,
-    so the thread holds one set per share of its latest call."""
+    """Two flat float64 buffers of at least cells[i], and fewer than twice
+    that, each for share i, kept by the calling thread for its next call. A
+    set is reallocated when it is too small or twice the size needed or
+    more, and the sets beyond len(cells) are dropped, so the thread holds
+    one set per share of its latest call, sized by that call."""
     if not hasattr(_pass_cache, "sets"):
         _pass_cache.sets = []
     sets = _pass_cache.sets
     del sets[len(cells):]
     sets += [None] * (len(cells) - len(sets))
     for i, n in enumerate(cells):
-        if sets[i] is None or sets[i][0].size < n:
+        if sets[i] is None or not n <= sets[i][0].size < 2 * n:
             sets[i] = None                      # free the old set first
             sets[i] = (np.empty(n), np.empty(n))
     return sets
@@ -318,13 +319,12 @@ def _unit_major_share(params: ModelParams, penalties: np.ndarray,
     along each visible vector's short row; the module docstring says why
     each step keeps its bits. Each block's GEMMs fill their own rows of a
     pass, and every later step runs once over the rows of the pass. Calls
-    numpy only, so it may run on any thread."""
+    numpy and the private cores only, so it may run on any thread."""
     l, R = params.l, low.shape[0]
     rows = per_pass * R
     first, second = buffers
     head = first[:(l + 1) * rows].reshape(l + 1, rows)   # log weights of z = 1..l+1
     m = first[(l + 1) * rows:(l + 2) * rows]
-    s = first[:rows]                     # written once head is spent
     # the second buffer holds in turn the unit inputs, the softplus scratch
     # and the shifted weights; its last `rows` cells v.b_v, then the tail
     A = second[:rows * l].reshape(rows, l)           # row-major as in BLAS
@@ -343,13 +343,7 @@ def _unit_major_share(params: ModelParams, penalties: np.ndarray,
             continue
         A += params.c
         np.copyto(T, A.T)
-        # softplus(A) - beta: the steps of model.softplus, in place
-        np.abs(T, out=tmp)
-        np.negative(tmp, out=tmp)
-        np.exp(tmp, out=tmp)
-        np.log1p(tmp, out=tmp)
-        np.maximum(T, 0.0, out=T)
-        T += tmp
+        _softplus(T, T, tmp)
         T -= penalties
         # cumulative sum over units, one unit after the other as np.cumsum
         for prev, cur in zip(z_rows[:l - 1], z_rows[1:l]):
@@ -357,18 +351,7 @@ def _unit_major_share(params: ModelParams, penalties: np.ndarray,
         np.add(z_rows[l - 1], params.penalty.log_tail_ratio, out=z_rows[l])
         head += base
         np.add(z_rows[l], params.penalty.log_tail_geometric_sum, out=tail)
-        # log_sum_exp(head, tail) over z
-        np.max(head, axis=0, out=m)
-        np.maximum(m, tail, out=m)
-        m[~np.isfinite(m)] = 0.0
-        np.subtract(head.T, m[:, None], out=w)
-        np.exp(w, out=w)
-        np.sum(w, axis=-1, out=s)
-        tail -= m
-        np.exp(tail, out=tail)
-        s += tail
-        np.log(s, out=s)
-        np.add(m, s, out=lp[start + R - rows:start + R])
+        _log_sum_exp(head.T, tail, -1, lp[start + R - rows:start + R], m, w)
 
 
 def _logsumexp_overwrite(a: np.ndarray) -> float:
@@ -508,15 +491,6 @@ def _base_biases(D: int, base_means) -> np.ndarray:
     return logit(means)
 
 
-def _penalty_terms(params: ModelParams) -> tuple:
-    """What `_ais_log_weights` reads of params.penalty: beta of a dynamic
-    penalty (None for a constant one), beta_zero, and the tail's log ratio
-    and log geometric sum."""
-    pen = params.penalty
-    return (pen.beta if pen.mode == "dynamic" else None, pen.beta_zero,
-            pen.log_tail_ratio, pen.log_tail_geometric_sum)
-
-
 def _bootstrap_indices(rng: np.random.Generator, n_chains: int,
                        n_boot: int) -> np.ndarray:
     """The resamples' index draws, in the same order as drawing and reducing
@@ -557,130 +531,76 @@ def ais_log_partition(params: ModelParams, n_temps: int, n_chains: int,
     """
     _check_ais_settings(n_temps, n_chains)
     b_base = _base_biases(params.D, base_means)
-    log_w = _ais_log_weights(params, _penalty_terms(params), b_base, n_temps,
-                             n_chains, rng)
+    log_w = _ais_log_weights(params, b_base, n_temps, n_chains, rng)
     return _ais_result(params, b_base, log_w,
                        _bootstrap_indices(rng, n_chains, n_boot))
 
 
-def _ais_log_norm(ws: SimpleNamespace, A: np.ndarray, base: np.ndarray,
-                  pen: np.ndarray, out: np.ndarray) -> None:
-    """`ZPosterior.log_norm` of `model.z_posterior(m, V, Y, A=A)` into out,
-    by the same operations, for the model m of one AIS temperature: pen is
-    `m.unit_penalties()` and base the z-independent term of each chain. The
-    posterior's head and tail stay in ws.head and ws.tail for the z draw."""
-    T, M, head, w, tail, mx = ws.T, ws.M, ws.head, ws.w, ws.tail, ws.mx
-    l = T.shape[1]
-    # softplus(A) - pen: the steps of model.softplus, in place
-    np.abs(A, out=T)
-    np.negative(T, out=T)
-    np.exp(T, out=T)
-    np.log1p(T, out=T)
-    np.maximum(A, 0.0, out=M)
-    T += M
-    T -= pen
-    # cumulative_unit_terms, plus base (model._z_weights)
-    np.cumsum(T, axis=-1, out=head[:, :l])
-    np.add(head[:, l - 1], ws.log_tail_ratio, out=head[:, l])
-    head += base[:, None]
-    np.add(head[:, l], ws.log_tail_sum, out=tail)
-    # model.log_sum_exp(head, tail)
-    np.max(head, axis=-1, out=mx)
-    np.maximum(mx, tail, out=mx)
-    mx[~np.isfinite(mx)] = 0.0
-    np.subtract(head, mx[:, None], out=w)
-    np.exp(w, out=w)
-    np.sum(w, axis=-1, out=out)
-    np.subtract(tail, mx, out=ws.t)
-    np.exp(ws.t, out=ws.t)
-    out += ws.t
-    np.log(out, out=out)
-    out += mx
-
-
-def _ais_log_weights(params: ModelParams, penalty: tuple, b_base: np.ndarray,
-                     n_temps: int, n_chains: int,
-                     rng: np.random.Generator) -> np.ndarray:
+def _ais_log_weights(params: ModelParams, b_base: np.ndarray, n_temps: int,
+                     n_chains: int, rng: np.random.Generator) -> np.ndarray:
     """The importance log weights of one AIS run, drawing from rng.
 
     The draws and their order are those of the composed steps this replaces
     (`unit_inputs`, `z_posterior` and `sampling.gibbs_sweep` on a model
     refilled at each temperature), and so are the operations on each value,
     so every weight keeps its bits; `tests/oracles.ais_building_afresh` is
-    that composition. penalty is `_penalty_terms(params)`. The buffers are
-    allocated once per run. It reads params' arrays and calls numpy and
-    scipy only, so it may run on any thread.
+    that composition. Each step calls the core of its public kernel on
+    buffers allocated once per run, and the kernel reads params' arrays and
+    penalty, so it calls no traced function and may run on any thread.
     """
-    dynamic_beta, beta_zero, ltr, lgs = penalty
-    W, b_v, c, U, d = params.W, params.b_v, params.c, params.U, params.d
+    W, b_v, c, U, d, pen = (params.W, params.b_v, params.c, params.U, params.d,
+                            params.penalty)
     (l, D), N = W.shape, n_chains
-    labeled = U is not None
+    labeled, dynamic = U is not None, pen.mode == "dynamic"
     betas = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, n_temps - 1)])
-    ws = SimpleNamespace(T=np.empty((N, l)), M=np.empty((N, l)),
-                         head=np.empty((N, l + 1)), w=np.empty((N, l + 1)),
-                         tail=np.empty(N), mx=np.empty(N), t=np.empty(N),
-                         log_tail_ratio=ltr, log_tail_sum=lgs)
     # the model at one temperature (`_interpolate` of the composed steps)
     mW, mb = np.empty_like(W), np.empty_like(b_v)
-    pen = np.full(l, beta_zero) if dynamic_beta is None else np.empty(l)
-    mc = None if dynamic_beta is None else np.empty(l)
+    unit_pen = np.empty(l) if dynamic else np.full(l, pen.beta_zero)
+    mc = np.empty(l) if dynamic else None
     mU, md = (np.empty_like(U), np.empty_like(d)) if labeled else (None, None)
     # chain state: G = unit_inputs(params, V, Y), A = beta * G
-    G, A = np.empty((N, l)), np.empty((N, l))
-    V, u_v, P = np.empty((N, D)), np.empty((N, D)), np.empty((N, D))
-    on_v = np.empty((N, D), dtype=bool)
-    H = np.zeros((N, l + 1))
-    u_h = np.empty((N, l + 1))
+    G, A, T = np.empty((N, l)), np.empty((N, l)), np.empty((N, l))
+    V, P = np.empty((N, D)), np.empty((N, D))
+    head, w, H, u_h = (np.empty((N, l + 1)) for _ in range(4))
     on = np.empty((N, l + 1), dtype=bool)
-    units = np.arange(l + 1)
-    base, ln, prev, u_z, step = (np.empty(N) for _ in range(5))
+    tail, mx, base, ln, prev, u_z, step = (np.empty(N) for _ in range(7))
     L, u_y = (np.empty((N, U.shape[1])), np.empty(N)) if labeled else (None, None)
-    Wt = W.T
-    Ut = U.T if labeled else None
 
     def interpolate(beta):
         """Couplings times beta, visible biases mixed with the base's."""
         np.multiply(W, beta, out=mW)
         np.multiply(b_v, beta, out=mb)
         np.add(mb, (1.0 - beta) * b_base, out=mb)
-        if mc is not None:
-            # dynamic_beta * softplus(c * beta): model.unit_penalties
+        if dynamic:
+            # model.unit_penalties: beta_pen * softplus(c * beta)
             np.multiply(c, beta, out=mc)
-            np.abs(mc, out=pen)
-            np.negative(pen, out=pen)
-            np.exp(pen, out=pen)
-            np.log1p(pen, out=pen)
-            np.add(pen, np.maximum(mc, 0.0), out=pen)
-            np.multiply(pen, dynamic_beta, out=pen)
+            _softplus(mc, mc, unit_pen)
+            np.multiply(mc, pen.beta, out=unit_pen)
         if labeled:
             np.multiply(U, beta, out=mU)
             np.multiply(d, beta, out=md)
 
     def target_inputs(Y):
-        np.matmul(V, Wt, out=G)
+        np.matmul(V, W.T, out=G)
         np.add(G, c, out=G)
         if labeled:
-            np.add(G, Ut[Y], out=G)
+            np.add(G, U.T[Y], out=G)
 
     def log_norm(beta, Y, out):
-        """The chains' log_norm under the model at beta (refilled)."""
+        """The chains' log_norm under the model at beta (refilled); its
+        posterior's head and tail stay in head and tail for the z draw."""
         np.multiply(G, beta, out=A)
         np.matmul(V, mb, out=base)
         if labeled:
             np.add(base, md[Y], out=base)
-        _ais_log_norm(ws, A, base, pen, out)
+        # model._z_weights, then ZPosterior.log_norm
+        _cumulative_unit_terms(A, unit_pen, pen.log_tail_ratio, head, T)
+        np.add(head, base[:, None], out=head)
+        np.add(head[:, l], pen.log_tail_geometric_sum, out=tail)
+        _log_sum_exp(head, tail, -1, out, mx, w)
 
-    def categorical(p, u):
-        """sampling.categorical_rows of the rows of p, in place, with the
-        row's uniform in u."""
-        np.cumsum(p, axis=-1, out=p)
-        rng.random(out=u)
-        u *= p[:, -1]
-        idx = np.greater_equal(u[:, None], p).sum(axis=1)
-        return np.minimum(idx, p.shape[1] - 1, out=idx)
-
-    np.less(rng.random(out=u_v), expit(b_base), out=on_v)
-    np.copyto(V, on_v)
+    rng.random(out=V)
+    np.less(V, expit(b_base), out=V)
     Y = rng.integers(0, U.shape[1], size=N) if labeled else None
     target_inputs(Y)
     interpolate(betas[0])
@@ -693,36 +613,13 @@ def _ais_log_weights(params: ModelParams, penalty: tuple, b_base: np.ndarray,
         log_w += step
         if k == n_temps - 1:
             break
-        # z from the posterior just read (ZPosterior.sample)
-        p = ws.w
-        np.subtract(ws.head, ln[:, None], out=p)
-        np.exp(p, out=p)
-        np.subtract(ws.tail, ln, out=ws.t)
-        np.exp(ws.t, out=ws.t)
-        p[:, l] += ws.t
-        Z = categorical(p, u_z) + 1
-        # h: sampling.draw_h, units below max(Z) compared
-        K = int(Z.max(initial=0))
-        rng.random(out=u_h)
-        expit(A[:, :min(K, l)], out=p[:, :min(K, l)])
-        p[:, l:K] = 0.5
-        np.less(u_h[:, :K], p[:, :K], out=on[:, :K])
-        on[:, :K] &= units[None, :K] < Z[:, None]
-        H[:, :K] = on[:, :K]
-        H[:, K:] = 0.0
-        # v (and y): sampling.draw_v and draw_y
-        np.matmul(H[:, :l], mW, out=P)
-        P += mb
-        expit(P, out=P)
-        np.less(rng.random(out=u_v), P, out=on_v)
-        np.copyto(V, on_v)
+        # sampling.gibbs_sweep, z drawn from the posterior just read
+        # (ZPosterior.sample)
+        Z = _categorical_rows(_clamped_probs(head, tail, ln, w, u_z), u_z, rng) + 1
+        _draw_h(A, Z, rng, H, u_h, w, on)
+        _draw_v(H, mW, mb, rng, V, P)
         if labeled:
-            np.matmul(H[:, :l], mU, out=L)
-            L += md
-            L -= L.max(axis=1, keepdims=True)
-            np.exp(L, out=L)
-            L /= L.sum(axis=1, keepdims=True)
-            Y = categorical(L, u_y)
+            Y = _draw_y(H, mU, md, rng, L, u_y)
         target_inputs(Y)
         log_norm(betas[k], Y, prev)
     return log_w
@@ -741,7 +638,6 @@ class _AisRun:
     generator in, and the bootstrap indices drawn after that."""
 
     params: ModelParams
-    penalty: tuple
     rng: np.random.Generator
     end: str
     idx: np.ndarray
@@ -751,10 +647,10 @@ class _AisRun:
 def _make_ais_runs(runs, n_temps: int, n_chains: int, b_base: np.ndarray):
     """Fill each reserved run's log weights, from its own generator, and
     check that the generator ends where the reservation left the shared
-    one. Numpy only, so it may run on any thread."""
+    one. Calls no traced function, so it may run on any thread."""
     for run in runs:
-        run.log_w = _ais_log_weights(run.params, run.penalty, b_base, n_temps,
-                                     n_chains, run.rng)
+        run.log_w = _ais_log_weights(run.params, b_base, n_temps, n_chains,
+                                     run.rng)
         if _generator_state(run.rng) != run.end:
             raise RuntimeError("an AIS run did not end where its reservation "
                                "did: the skipped draws are not the run's")
@@ -794,8 +690,7 @@ class _Ais:
         sweep = N * (1 + (params.l + 1) + params.D + params.has_labels)
         skip_uniforms(rng, (self.n_temps - 2) * sweep)
         end = _generator_state(rng)
-        return _AisRun(params, _penalty_terms(params), start, end,
-                       _bootstrap_indices(rng, N, self.n_boot))
+        return _AisRun(params, start, end, _bootstrap_indices(rng, N, self.n_boot))
 
     def make(self, runs: list[_AisRun], caller_work):
         """Make the reserved runs in `_shares` on `_call_on_threads`: this

@@ -29,6 +29,15 @@ keeps a floor of its own on the rows per block. Every GEMM and every sum
 over the rows of a batch still runs on the full arrays, so blocking moves
 no bit. `marginal_z_posterior` reduces the label blocks to p(z | v) and,
 when asked, log p(y | v); `log_cond_y_given_v` to log p(y | v) alone.
+
+Cores. `_softplus`, `_log_sum_exp`, `_cumulative_unit_terms` and
+`_clamped_probs` do the work of `softplus`, `log_sum_exp`,
+`cumulative_unit_terms` and `ZPosterior.clamped_probs` in buffers the
+caller passes, which no buffer of a call may alias unless its docstring
+says so. Each public kernel allocates them and calls its core; the
+evaluation workers call the cores on buffers of their own. A core is
+private and no alias of a public kernel, so a tracer that wraps the
+public functions (perfbench's) leaves it unwrapped on worker threads.
 """
 
 from __future__ import annotations
@@ -62,12 +71,18 @@ def row_blocks(n_rows: int, cells_per_row: int):
 def softplus(x):
     """log(1 + e^x) = max(x, 0) + log1p(e^{-|x|}), stable for large |x|."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.abs(x, out=np.empty_like(x))
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    np.log1p(out, out=out)
-    out += np.maximum(x, 0.0)
-    return out
+    return _softplus(x, np.empty_like(x), np.empty_like(x))
+
+
+def _softplus(x, out, scratch):
+    """`softplus` of x into out (which may be x), with scratch for the log1p
+    term, which is added first, as `softplus` always has (a NaN's sign)."""
+    np.abs(x, out=scratch)
+    np.negative(scratch, out=scratch)
+    np.exp(scratch, out=scratch)
+    np.log1p(scratch, out=scratch)
+    np.maximum(x, 0.0, out=out)
+    return np.add(scratch, out, out=out)
 
 
 def log_sum_exp(head, tail=None, axis: int = -1):
@@ -75,16 +90,31 @@ def log_sum_exp(head, tail=None, axis: int = -1):
     of all terms so no exponential overflows. `tail` (optional) has head's
     shape without `axis`; rows whose maximum is infinite yield that value."""
     head = np.asarray(head, dtype=np.float64)
-    m = np.max(head, axis=axis)
+    shape = np.delete(head.shape, axis)
+    return _log_sum_exp(head, tail, axis, np.empty(shape), np.empty(shape),
+                        np.empty_like(head))[()]
+
+
+def _log_sum_exp(head, tail, axis: int, out, m, w):
+    """`log_sum_exp` into out, with m (out's shape) for the shift and w
+    (head's shape) for the shifted terms, then the tail's term. The sum runs
+    over w, so w's layout, not head's, sets how numpy groups its terms."""
+    before = (slice(None),) * (axis % head.ndim)     # the axes before `axis`
+    np.max(head, axis=axis, out=m)
     if tail is not None:
-        m = np.maximum(m, tail)
-    m = np.where(np.isfinite(m), m, 0.0)
-    w = head - np.expand_dims(m, axis)
+        np.maximum(m, tail, out=m)
+    m[~np.isfinite(m)] = 0.0
+    np.subtract(head, m[before + (None,)], out=w)
     np.exp(w, out=w)
-    s = np.sum(w, axis=axis)
+    np.sum(w, axis=axis, out=out)
     if tail is not None:
-        s = s + np.exp(tail - m)
-    return m + np.log(s)
+        t = w[before + (0, ...)]
+        np.subtract(tail, m, out=t)
+        np.exp(t, out=t)
+        out += t
+    np.log(out, out=out)
+    out += m
+    return out
 
 
 def suffix_probs(head, tail, log_norm):
@@ -303,12 +333,23 @@ def cumulative_unit_terms(params: ModelParams, A) -> np.ndarray:
     z = 1..l+1, from the unit inputs A (..., l). The last entry appends one
     zero-parameter unit, whose term is ln2 - beta_zero. -F(v, z) is this plus
     the z-independent bias terms."""
-    T = softplus(A)
-    T -= params.unit_penalties()
-    l = params.l
-    out = np.empty(T.shape[:-1] + (l + 1,))
-    np.cumsum(T, axis=-1, out=out[..., :l])
-    out[..., l] = out[..., l - 1] + params.penalty.log_tail_ratio
+    A = np.asarray(A, dtype=np.float64)
+    return _cumulative_unit_terms(A, params.unit_penalties(),
+                                  params.penalty.log_tail_ratio,
+                                  np.empty(A.shape[:-1] + (params.l + 1,)),
+                                  np.empty_like(A))
+
+
+def _cumulative_unit_terms(A, penalties, log_tail_ratio: float, out, scratch):
+    """`cumulative_unit_terms` of A (..., l) and the unit penalties into out
+    (..., l+1), with scratch (A's shape) for the per-unit terms. Softplus's
+    own scratch is out's first A.size cells, contiguous as the fast ufunc
+    loops need when out is, and spent before the sum is written."""
+    l = A.shape[-1]
+    _softplus(A, scratch, out.reshape(-1)[:A.size].reshape(A.shape))
+    scratch -= penalties
+    np.cumsum(scratch, axis=-1, out=out[..., :l])
+    np.add(out[..., l - 1], log_tail_ratio, out=out[..., l])
     return out
 
 
@@ -366,9 +407,9 @@ class ZPosterior:
     def clamped_probs(self) -> np.ndarray:
         """Distribution over z = 1..l+1 with the tail mass pooled at l+1,
         matching the clamp rule used by every sampler."""
-        p = self.head_probs()
-        p[..., -1] += self.tail_prob()
-        return p
+        head = self.head_log_weights
+        return _clamped_probs(head, self.tail_log_mass, self.log_norm,
+                              np.empty_like(head), np.empty(head.shape[:-1]))
 
     def p_z_geq(self) -> np.ndarray:
         """p(z >= i | .) for i = 1..l+1."""
@@ -408,6 +449,17 @@ class ZPosterior:
         """log p(y | v) over the class axis, kept in the log domain so a
         class far below the best one keeps a finite log probability."""
         return self.log_norm - log_sum_exp(self.log_norm)[..., None]
+
+
+def _clamped_probs(head, tail, log_norm, out, t):
+    """`ZPosterior.clamped_probs` of head, tail and log_norm into out
+    (head's shape), with t (tail's shape) for the tail's probability."""
+    np.subtract(head, np.expand_dims(log_norm, -1), out=out)
+    np.exp(out, out=out)
+    np.subtract(tail, log_norm, out=t)
+    np.exp(t, out=t)
+    out[..., -1] += t
+    return out
 
 
 def _z_weights(params: ModelParams, A, base) -> ZPosterior:

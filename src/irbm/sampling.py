@@ -23,6 +23,11 @@ Shared posterior. A caller that has already built the z posterior of the
 batch it sweeps (AIS reads its log_norm as an importance weight) hands it to
 `gibbs_sweep` and `draw_z` as `zp=`, beside the `A=` it was built from, so
 the z draw reuses it instead of building it again.
+
+Cores. `_categorical_rows`, `_draw_h`, `_draw_v`, `_draw_y` and its step
+`_softmax_rows` make the draws of the public kernels of those names in
+buffers the caller passes, the uniforms included, under the rules of the
+`model` cores; the AIS kernel calls them on its own buffers.
 """
 
 from __future__ import annotations
@@ -75,10 +80,17 @@ class PhaseSamples:
 def categorical_rows(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Inverse-CDF draw of one 0-based category per row of p (n, K), which
     need not be normalized: one uniform per row."""
-    cdf = np.cumsum(p, axis=-1)
-    u = rng.random(p.shape[0]) * cdf[:, -1]
-    idx = (u[:, None] >= cdf).sum(axis=1)
-    return np.minimum(idx, p.shape[1] - 1)
+    return _categorical_rows(np.array(p, dtype=np.float64), np.empty(p.shape[0]), rng)
+
+
+def _categorical_rows(p, u, rng) -> np.ndarray:
+    """`categorical_rows` of p, which becomes its cumulative sum; u (n,)
+    takes the uniforms."""
+    np.cumsum(p, axis=-1, out=p)
+    rng.random(out=u)
+    u *= p[:, -1]
+    idx = np.greater_equal(u[:, None], p).sum(axis=1)
+    return np.minimum(idx, p.shape[1] - 1, out=idx)
 
 
 def draw_z(params: ModelParams, V, Y, rng, *, A=None, zp=None) -> np.ndarray:
@@ -99,39 +111,68 @@ def draw_h(params: ModelParams, V, Z, Y, rng, *, A=None) -> np.ndarray:
     all (n, l+1) entries, so the generator advances as if every unit were
     compared and the stream does not depend on Z.
     """
-    n = V.shape[0]
-    l = params.l
     if A is None:
         A = unit_inputs(params, V, Y)
-    Z = np.asarray(Z)
+    shape = (V.shape[0], params.l + 1)
+    return _draw_h(A, np.asarray(Z), rng, np.empty(shape), np.empty(shape),
+                   np.empty(shape), np.empty(shape, dtype=bool))
+
+
+def _draw_h(A, Z, rng, H, u, means, on) -> np.ndarray:
+    """`draw_h` from the unit inputs A into H, with u, means and on (bool),
+    each H's shape, for the uniforms, the means and the comparisons."""
+    l = A.shape[1]
     K = int(Z.max(initial=0))
-    u = rng.random((n, l + 1))
-    means = np.empty((n, K))
-    expit(A[:, :min(K, l)], out=means[:, :l])
-    means[:, l:] = 0.5
-    H = np.zeros((n, l + 1))
-    H[:, :K] = (u[:, :K] < means) & (np.arange(K)[None, :] < Z[:, None])
+    rng.random(out=u)
+    expit(A[:, :min(K, l)], out=means[:, :min(K, l)])
+    means[:, l:K] = 0.5
+    np.less(u[:, :K], means[:, :K], out=on[:, :K])
+    on[:, :K] &= np.arange(K)[None, :] < Z[:, None]
+    H[:, :K] = on[:, :K]
+    H[:, K:] = 0.0
     return H
 
 
 def draw_v(params: ModelParams, H, rng) -> np.ndarray:
     """v ~ p(v | h, z); the cutoff is implicit in H's zero rows above z, and
     the l+1'th unit never contributes because its weights are zero."""
-    means = expit(params.b_v + H[:, :params.l] @ params.W)
-    return (rng.random(means.shape) < means).astype(np.float64)
+    shape = (H.shape[0], params.D)
+    return _draw_v(H, params.W, params.b_v, rng, np.empty(shape), np.empty(shape))
 
 
-def _softmax_rows(logits, rng) -> np.ndarray:
-    """One class per row of logits (n, C), drawn from its softmax."""
-    logits = logits - logits.max(axis=1, keepdims=True)
-    p = np.exp(logits)
-    p /= p.sum(axis=1, keepdims=True)
-    return categorical_rows(p, rng)
+def _draw_v(H, W, b_v, rng, V, P) -> np.ndarray:
+    """`draw_v` of the model (W, b_v) into V, which first takes the
+    uniforms, with P (V's shape) for the means."""
+    np.matmul(H[:, :W.shape[0]], W, out=P)
+    P += b_v
+    expit(P, out=P)
+    rng.random(out=V)
+    np.less(V, P, out=V)
+    return V
+
+
+def _softmax_rows(logits, u, rng) -> np.ndarray:
+    """One class per row of logits (n, C), which it overwrites, drawn from
+    its softmax; u (n,) takes the uniforms."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return _categorical_rows(logits, u, rng)
 
 
 def draw_y(params: ModelParams, H, rng) -> np.ndarray:
     """y ~ p(y | h, z) for each row."""
-    return _softmax_rows(params.d + H[:, :params.l] @ params.U, rng)
+    n = H.shape[0]
+    return _draw_y(H, params.U, params.d, rng, np.empty((n, params.C)),
+                   np.empty(n))
+
+
+def _draw_y(H, U, d, rng, L, u) -> np.ndarray:
+    """`draw_y` of the model (U, d), with L (n, C) for the logits and u
+    (n,) for the uniforms."""
+    np.matmul(H[:, :U.shape[0]], U, out=L)
+    L += d
+    return _softmax_rows(L, u, rng)
 
 
 def draw_y_given_vz(params: ModelParams, V, Z, rng, *, A=None) -> np.ndarray:
@@ -141,7 +182,7 @@ def draw_y_given_vz(params: ModelParams, V, Z, rng, *, A=None) -> np.ndarray:
     logits = np.empty((Z.shape[0], params.C))
     for rows, joint in label_blocks(params, V, A):
         logits[rows] = joint.head_log_weights[np.arange(Z[rows].shape[0]), :, Z[rows]]
-    return _softmax_rows(logits, rng)
+    return _softmax_rows(logits, np.empty(Z.shape[0]), rng)
 
 
 def gibbs_sweep(params: ModelParams, V, Y, rng, *, A=None, zp=None):

@@ -216,16 +216,17 @@ class TestAis:
         # n temperatures weigh n - 1 chain states (the first and n - 2 swept
         # ones), each under two adjacent models: 2n - 2 posteriors, the z
         # draw of a sweep reusing the one its state's weight was read from;
-        # the AIS kernel builds each in its posterior step
+        # the AIS kernel reads each posterior's log_norm by one call of the
+        # log-sum-exp core
         import irbm.evaluation as ev
         built = []
-        step = ev._ais_log_norm
+        step = ev._log_sum_exp
 
         def counted(*args, **kwargs):
             built.append(1)
             return step(*args, **kwargs)
 
-        monkeypatch.setattr(ev, "_ais_log_norm", counted)
+        monkeypatch.setattr(ev, "_log_sum_exp", counted)
         n = 10
         ais_log_partition(make_model(315, D=4, l=3, C=C), n_temps=n, n_chains=5,
                           rng=stream(42, "ais-count"))
@@ -863,6 +864,27 @@ class TestEnumerationWorkers:
         held = on_a_new_thread(forced_then_default)
         assert len(held) == len(_shares(blocks)) == _worker_count(blocks)
         assert sum(held) <= 2 * len(held) * max(PASS_CELLS, block_cells(m)) * 8
+
+    def test_a_smaller_call_cuts_the_kept_buffers_back(self, monkeypatch):
+        # a call at a raised budget leaves larger sets; the next call at the
+        # default budget needs less than half of them and reallocates
+        m = pass_model("plain")
+        force_workers(monkeypatch, 1)
+        want = _log_pstar_all(m)
+        monkeypatch.setattr("irbm.evaluation._worker_count", _worker_count)
+        shares = len(_shares(2 ** (m.D - _block_bits(m))))
+        bound = 2 * shares * max(PASS_CELLS, block_cells(m)) * 8
+
+        def raised_then_default():
+            monkeypatch.setattr("irbm.evaluation.PASS_CELLS", 8 * block_cells(m))
+            raised = kept_bytes(m)
+            monkeypatch.setattr("irbm.evaluation.PASS_CELLS", PASS_CELLS)
+            lp = _log_pstar_all(m)
+            return raised, [a.nbytes + b.nbytes for a, b in _pass_cache.sets], lp
+
+        raised, held, lp = on_a_new_thread(raised_then_default)
+        assert sum(raised) > bound >= sum(held)
+        assert np.array_equal(lp, want)
 
 
 def ais_case(C):

@@ -1,6 +1,8 @@
 """Log-domain kernels, the shared activation pass and the z sampler.
 
-The kernels are checked against the numpy/scipy forms they replace; the
+The kernels are checked against the numpy/scipy forms they replace, and
+the private cores behind them (the steps the evaluation workers call on
+buffers of their own) against the public kernels, bit for bit; the
 shared pass is checked by counting activation passes per update (and
 evaluation passes per model ordering) and by running the same update with
 the sharing stripped out, which must give bit-identical parameters.
@@ -17,11 +19,28 @@ from conftest import make_model, random_binary, same_bundle
 import irbm.cli as cli
 from irbm import evaluation, model, sampling, training
 from irbm.model import (
+    _clamped_probs,
+    _cumulative_unit_terms,
+    _log_sum_exp,
+    _softplus,
+    cumulative_unit_terms,
     label_joint_log_weights,
     log_sum_exp,
     softplus,
     suffix_probs,
+    unit_inputs,
     z_posterior,
+)
+from irbm.sampling import (
+    _categorical_rows,
+    _draw_h,
+    _draw_v,
+    _draw_y,
+    _softmax_rows,
+    categorical_rows,
+    draw_h,
+    draw_v,
+    draw_y,
 )
 from irbm.rng import stream
 from irbm.training import TrainConfig, Trainer
@@ -111,6 +130,141 @@ class TestKernelAgreement:
         assert np.max(np.abs(marg.head_log_weights - head)) <= TOL
         want_norm = np.logaddexp(logsumexp(head, axis=-1), logsumexp(tail, axis=1))
         assert np.max(np.abs(marg.log_norm - want_norm)) <= TOL
+
+
+def _nan(shape):
+    """A buffer whose every cell is NaN, so a cell read before it is
+    written shows in the result."""
+    return np.full(shape, np.nan)
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _softplus_cases():
+    rng = np.random.default_rng(50)
+    x = np.concatenate([rng.normal(0.0, 30.0, 3000),
+                        [0.0, -0.0, 1e-300, 36.0, 37.0, -745.0, np.inf, -np.inf]])
+    for arg in (x, x.reshape(-1, 8), np.asfortranarray(x.reshape(8, -1))):
+        want = softplus(arg)
+        yield want, _softplus(arg, _nan(arg.shape), _nan(arg.shape))
+        aliased = arg.copy()                # out may be x
+        assert _softplus(aliased, aliased, _nan(arg.shape)) is aliased
+        yield want, aliased
+
+
+def _log_sum_exp_cases():
+    rng = np.random.default_rng(51)
+    head = rng.uniform(-800, 800, (5, 3, 143))
+    head[0, 0, :] = -np.inf
+    head[1, 1, 7] = np.inf
+    for axis in (-1, -2, 0):
+        rest = np.delete(head.shape, axis % head.ndim)
+        for tail in (None, np.take(head, 0, axis=axis) + 4.97):
+            want = log_sum_exp(head, tail, axis)
+            yield want, _log_sum_exp(head, tail, axis, _nan(rest), _nan(rest),
+                                     _nan(head.shape))
+    # the enumeration workers' layout: a unit-major head read transposed
+    # sums as a row-major head does, because w is row-major
+    unit_major = rng.uniform(-50, 50, (62, 40))
+    tail = unit_major[-1] - 3.0
+    yield (log_sum_exp(np.ascontiguousarray(unit_major.T), tail),
+           _log_sum_exp(unit_major.T, tail, -1, _nan(40), _nan(40), _nan((40, 62))))
+
+
+def _cumulative_unit_terms_cases():
+    for mode in ("constant", "dynamic"):
+        m = make_model(52, D=9, l=13, C=3, scale=3.0, mode=mode)
+        V = random_binary(52, 40, 9)
+        for A in (unit_inputs(m, V), unit_inputs(m, V, np.arange(40) % 3),
+                  unit_inputs(m, V)[:, None, :] + m.U.T):
+            before = A.copy()
+            want = cumulative_unit_terms(m, A)
+            yield want, _cumulative_unit_terms(A, m.unit_penalties(),
+                                               m.penalty.log_tail_ratio,
+                                               _nan(want.shape), _nan(A.shape))
+            yield before, A                 # the inputs are only read
+
+
+def _clamped_probs_cases():
+    m = make_model(53, D=9, l=13, C=3, scale=3.0)
+    V = random_binary(53, 40, 9)
+    for zp in (z_posterior(m, V), z_posterior(m, V[0]), label_joint_log_weights(m, V)):
+        head = zp.head_log_weights
+        yield zp.clamped_probs(), _clamped_probs(head, zp.tail_log_mass, zp.log_norm,
+                                                 _nan(head.shape), _nan(head.shape[:-1]))
+
+
+def _sampler_cases():
+    """(public draw, core draw) on twin generators, then a draw from each
+    twin, so the cores must also use the same number of uniforms."""
+    m = make_model(54, D=9, l=13, C=3, scale=2.0)
+    V = random_binary(54, 40, 9)
+    A = unit_inputs(m, V)
+    rng = np.random.default_rng(54)
+    p = rng.uniform(0.0, 2.0, (40, 7))
+    Z = rng.integers(1, m.l + 2, size=40)
+    Z[:3] = m.l + 1                                # units up to the pool edge
+    H = draw_h(m, V, Z, None, rng, A=A)
+    shape = (40, m.l + 1)
+    stale = np.ones(shape, dtype=bool)
+    pairs = [
+        (lambda r: categorical_rows(p, r),
+         lambda r: _categorical_rows(p.copy(), _nan(40), r)),
+        (lambda r: draw_h(m, V, Z, None, r, A=A),
+         lambda r: _draw_h(A, Z, r, _nan(shape), _nan(shape), _nan(shape), stale)),
+        (lambda r: draw_h(m, V, np.full(40, 2), None, r, A=A),
+         lambda r: _draw_h(A, np.full(40, 2), r, _nan(shape), _nan(shape),
+                           _nan(shape), stale)),
+        (lambda r: draw_v(m, H, r),
+         lambda r: _draw_v(H, m.W, m.b_v, r, _nan((40, m.D)), _nan((40, m.D)))),
+        (lambda r: draw_y(m, H, r),
+         lambda r: _draw_y(H, m.U, m.d, r, _nan((40, m.C)), _nan(40))),
+        (lambda r: draw_y(m, H, r),
+         lambda r: _softmax_rows(m.d + H[:, :m.l] @ m.U, _nan(40), r)),
+    ]
+    for i, (public, core) in enumerate(pairs):
+        a, b = stream(55, "cores", i), stream(55, "cores", i)
+        yield public(a), core(b)
+        yield a.random(), b.random()
+
+
+CORE_CASES = {
+    "softplus": _softplus_cases,
+    "log_sum_exp": _log_sum_exp_cases,
+    "cumulative_unit_terms": _cumulative_unit_terms_cases,
+    "clamped_probs": _clamped_probs_cases,
+    "samplers": _sampler_cases,
+}
+
+
+class TestCores:
+    """Each private core, called on buffers filled with NaN (and with out
+    aliasing its input where its docstring allows that), gives the bits of
+    its public kernel."""
+
+    @pytest.mark.parametrize("name", sorted(CORE_CASES))
+    def test_core_equals_its_kernel(self, name):
+        with np.errstate(all="ignore"):
+            cases = list(CORE_CASES[name]())
+        assert cases
+        for i, (want, got) in enumerate(cases):
+            assert _same(want, got), (name, i)
+
+    def test_cores_are_functions_of_their_own(self):
+        # a tracer that wraps the public kernels by identity must leave
+        # the cores unwrapped, so no core is a public kernel under another
+        # name, and none lives in training
+        cores = (_softplus, _log_sum_exp, _cumulative_unit_terms, _clamped_probs,
+                 _categorical_rows, _draw_h, _draw_v, _draw_y, _softmax_rows)
+        public = [fn for mod in MODULES for name, fn in vars(mod).items()
+                  if not name.startswith("_") and inspect.isfunction(fn)]
+        for core in cores:
+            assert inspect.isfunction(core)
+            assert core.__module__ in ("irbm.model", "irbm.sampling")
+            assert all(core is not fn for fn in public), core.__name__
 
 
 class TestZSampler:

@@ -56,20 +56,20 @@ caller's context; all are joined before the call returns, and a worker's
 error is raised in the caller. One worker starts no thread.
 
 Enumeration workers. An unlabeled enumeration shares out its 2^(D-lo)
-high-bit blocks. Each share has its own pass buffers and its own V, and
-writes only its own rows of log p*(v), so every row gets the operations of
-the serial loop on the same block, and `_log_pstar_all`, log Z, p(v) and
-the exact gradient keep their bits for any worker count (at one BLAS
-thread, as everywhere; a multi-threaded BLAS may split a block's GEMM
-differently when two calls run at once). A worker runs in a copy of the
-caller's context, so the caller's `np.errstate` holds there too. Workers
-call numpy and the private cores of `model` and `sampling` only, and the
-cores must be function objects of their own, outside `training`: a tracer
-that wraps the package's functions from outside (perfbench's) keeps one
-span stack, wraps the public functions, private ones only in `training`,
-and in every namespace anything identical to a function it wraps. So the
-low-bit vectors and the unit penalties come from the caller. The GEMMs
-and the ufunc loops release the GIL, but the l per-unit `np.add` calls of a pass hold it for
+high-bit blocks. Each share has its own pass buffers and its own V, and writes
+only its own rows of log p*(v), so every row gets the operations of the
+serial loop on the same block, and `_log_pstar_all`, log Z, p(v) and the
+exact gradient keep their bits for any worker count (at one BLAS thread, as
+everywhere; a multi-threaded BLAS may split a block's GEMM differently when
+two calls run at once). A worker runs in a copy of the caller's context, so
+the caller's `np.errstate` holds there too. Workers call numpy and the
+private cores of `model` and `sampling` only, and the cores must be
+function objects of their own, outside `training`: a tracer that wraps the
+package's functions from outside (perfbench's) keeps one span stack, wraps
+the public functions, private ones only in `training`, and in every
+namespace anything identical to a function it wraps. So the low-bit vectors
+and the unit penalties come from the caller. The GEMMs and the ufunc loops
+release the GIL, but the l per-unit `np.add` calls of a pass hold it for
 their dispatch, so the more rows a pass covers, the fewer such calls per
 row. Only two cores were measured, hence at most two workers. Labeled
 models stay serial: their blocks call the public, traceable
@@ -79,7 +79,8 @@ Pass buffers. A share of an unlabeled enumeration takes, per pass, the
 largest power-of-two number of its blocks that divides the share and keeps
 the pass within `PASS_CELLS` (2^17) cells of rows * (l+2), and at least one
 block (`_pass_blocks`). It works in two flat float64 buffers of at least
-that many cells, each view a C-contiguous reshape of a prefix or a slice of one:
+that many cells, each view a C-contiguous reshape of a prefix or a slice of
+one:
 
 - the first holds the log weights `head`, (l+1, rows), and the row
   maximum m in its last `rows` cells;
@@ -94,9 +95,9 @@ left there is never read. The buffers belong to the calling thread
 latest call, reallocated when a call needs more cells or half of them or
 fewer, so below 16 * max(PASS_CELLS, one block's rows * (l+2)) bytes per
 buffer, and drops the sets of shares a call does not have. So the memory
-outlives the call: at the default budget the thread holds up to 2 MB per share, 4 MB with two
-workers, until its next call. The workers are started for each call and
-keep nothing.
+outlives the call: at the default budget the thread holds up to 2 MB per
+share, 4 MB with two workers, until its next call. The workers are started
+for each call and keep nothing.
 
 On random D=16 models at l = 4-60 (one BLAS thread, 2-core Xeon), budgets
 of 2^15, 2^16 and 2^18 cells did no better than 2^17;

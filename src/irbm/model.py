@@ -90,7 +90,8 @@ def log_sum_exp(head, tail=None, axis: int = -1):
     of all terms so no exponential overflows. `tail` (optional) has head's
     shape without `axis`; rows whose maximum is infinite yield that value."""
     head = np.asarray(head, dtype=np.float64)
-    shape = np.delete(head.shape, axis)
+    axis %= head.ndim
+    shape = head.shape[:axis] + head.shape[axis + 1:]
     return _log_sum_exp(head, tail, axis, np.empty(shape), np.empty(shape),
                         np.empty_like(head))[()]
 
@@ -337,7 +338,7 @@ def cumulative_unit_terms(params: ModelParams, A) -> np.ndarray:
     return _cumulative_unit_terms(A, params.unit_penalties(),
                                   params.penalty.log_tail_ratio,
                                   np.empty(A.shape[:-1] + (params.l + 1,)),
-                                  np.empty_like(A))
+                                  np.empty(A.shape))
 
 
 def _cumulative_unit_terms(A, penalties, log_tail_ratio: float, out, scratch):
@@ -454,7 +455,7 @@ class ZPosterior:
 def _clamped_probs(head, tail, log_norm, out, t):
     """`ZPosterior.clamped_probs` of head, tail and log_norm into out
     (head's shape), with t (tail's shape) for the tail's probability."""
-    np.subtract(head, np.expand_dims(log_norm, -1), out=out)
+    np.subtract(head, log_norm[..., None], out=out)
     np.exp(out, out=out)
     np.subtract(tail, log_norm, out=t)
     np.exp(t, out=t)

@@ -113,14 +113,16 @@ def draw_h(params: ModelParams, V, Z, Y, rng, *, A=None) -> np.ndarray:
     """
     if A is None:
         A = unit_inputs(params, V, Y)
-    shape = (V.shape[0], params.l + 1)
-    return _draw_h(A, np.asarray(Z), rng, np.empty(shape), np.empty(shape),
-                   np.empty(shape), np.empty(shape, dtype=bool))
+    Z = np.asarray(Z)
+    shape, K = (V.shape[0], params.l + 1), int(Z.max(initial=0))
+    return _draw_h(A, Z, rng, np.empty(shape), np.empty(shape),
+                   np.empty((shape[0], K)), np.empty((shape[0], K), dtype=bool))
 
 
 def _draw_h(A, Z, rng, H, u, means, on) -> np.ndarray:
-    """`draw_h` from the unit inputs A into H, with u, means and on (bool),
-    each H's shape, for the uniforms, the means and the comparisons."""
+    """`draw_h` from the unit inputs A into H, with u (H's shape) for the
+    uniforms, and means and on (bool), of max(Z) columns or more, for the
+    means and the comparisons of the units below max(Z)."""
     l = A.shape[1]
     K = int(Z.max(initial=0))
     rng.random(out=u)

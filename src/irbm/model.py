@@ -33,9 +33,9 @@ when asked, log p(y | v); `log_cond_y_given_v` to log p(y | v) alone.
 Cores. `_softplus`, `_log_sum_exp`, `_cumulative_unit_terms` and
 `_clamped_probs` do the work of `softplus`, `log_sum_exp`,
 `cumulative_unit_terms` and `ZPosterior.clamped_probs` in buffers the
-caller passes, which no buffer of a call may alias unless its docstring
-says so. Each public kernel allocates them and calls its core; the
-evaluation workers call the cores on buffers of their own. A core is
+caller passes; no buffer may alias another or an input unless the core's
+docstring says so. Each public kernel allocates them and calls its core;
+the evaluation workers call the cores on buffers of their own. A core is
 private and no alias of a public kernel, so a tracer that wraps the
 public functions (perfbench's) leaves it unwrapped on worker threads.
 """

@@ -118,22 +118,44 @@ indices for real, because how much they draw depends on their values, and
 records the state the run's last uniform leaves. For a Philox generator,
 which `rng.stream` builds, the skip costs O(1): a reservation took 2.0 ms
 at D=784, l=500, 30 chains and 100 temperatures, against 62 ms for drawing
-the uniforms (one BLAS thread, 2-core Xeon). The runs are then shared out
-to the workers, and the calling thread makes the order passes before its
-share. Every run draws what it drew serially, from a copy in the state the
-serial run started from, and `_ais_log_weights` does the operations of the
-composed `unit_inputs` / `z_posterior` / `gibbs_sweep` steps on the same
-values (`tests/oracles.ais_building_afresh`), so the report and the
-generator's final state keep their bits for any worker count (at one BLAS
-thread, as above). A worker checks that its generator ends at the reserved
-state and raises otherwise, so a skip that miscounts cannot go unseen. The
-kernel calls numpy, scipy and the private cores only, by the rule above,
-and each run's reduction (`base_log_partition`, the bootstrap) runs on the
-caller: in a traced run, the AIS sweeps open no spans. A
-run in flight holds its scaled copy of W, 8 * l * D bytes (3.1 MB at l=500,
-D=784), and about 8 * chains * (8l + 3D) bytes of chain buffers; each
-reserved run holds its ordering's model and its bootstrap indices until
-the report is reduced. Exact log Z draws nothing; it stays serial per
+the uniforms (one BLAS thread, 2-core Xeon).
+
+The runs are then made by their temperature steps, not whole: a run is a
+generator, `_ais_steps`, that yields after each temperature, and
+`_step_plan` deals the R runs' T-1 steps each to the W workers by
+McNaughton's wrap-around rule: each worker gets ceil(R(T-1)/W)
+consecutive steps, and a run that crosses from one worker's share into
+the next is split, its first steps opening the next worker's list and
+its last steps closing the current one's. One `threading.Event` per run
+makes the last part wait for the first, which, as no run has more steps
+than a share, it is planned never to need. For the three runs of
+`--perms 2` on two workers, each worker makes 1.5 runs' steps instead of
+one making 2 while the other makes 1. The calling thread makes the order
+passes before its list. Only one thread at a time advances a run, on its
+own buffers and its own copy of the generator, and the run draws what it
+drew serially, from a copy in the state the serial run started from;
+`_ais_steps` does the operations of the composed `unit_inputs` /
+`z_posterior` / `gibbs_sweep` steps on the same values
+(`tests/oracles.ais_building_afresh`), so the report and the generator's
+final state keep their bits for any worker count (at one BLAS thread, as
+above). A run's chains are not split across threads instead: at D=784
+and l=500, `V @ W.T` of 15 of 30 chains differs in some bits from those
+rows of the full product, while a split in time changes no product. The worker that makes a run's last
+step checks that its generator ends at the reserved state and raises
+otherwise, so a skip that miscounts cannot go unseen. A step that raises
+sets an abort flag and the events of its worker's list, so every worker
+waiting on one wakes and stops, and the error is raised in the caller.
+The kernel calls numpy, scipy and the private cores only, by the rule
+above, and each run's reduction (`base_log_partition`, the bootstrap)
+runs on the caller: in a traced run, the AIS steps open no spans.
+
+A run in flight holds its scaled copy of W, 8 * l * D bytes (3.1 MB at
+l=500, D=784), and about 8 * chains * (8l + 3D) bytes of chain buffers,
+from its first step to its last. Under the plan up to 2W - 1 runs are in
+flight at once, one being made on each worker and each split run between
+its parts: for the three runs on two workers, every reserved run. Each
+reserved run also holds its ordering's model and its bootstrap indices
+until the report is reduced. Exact log Z draws nothing; it stays serial per
 ordering and runs on the enumeration workers.
 """
 
@@ -523,7 +545,7 @@ def ais_log_partition(params: ModelParams, n_temps: int, n_chains: int,
     along a geometric inverse-temperature ladder. Returns the log-mean
     importance weight plus a bootstrap standard error.
 
-    The chains run in `_ais_log_weights`. A temperature below the last
+    The chains run in `_ais_steps`. A temperature below the last
     costs two GEMMs (the target's unit inputs of the chains' visible state,
     and the sweep's visible means), one scaling pass into the interpolated
     model, and two posteriors: the current state's, whose log_norm is the
@@ -539,15 +561,27 @@ def ais_log_partition(params: ModelParams, n_temps: int, n_chains: int,
 
 def _ais_log_weights(params: ModelParams, b_base: np.ndarray, n_temps: int,
                      n_chains: int, rng: np.random.Generator) -> np.ndarray:
-    """The importance log weights of one AIS run, drawing from rng.
+    """The importance log weights of one AIS run, drawing from rng: the
+    `_ais_steps` of the run, taken to the end."""
+    for log_w in _ais_steps(params, b_base, n_temps, n_chains, rng):
+        pass
+    return log_w
+
+
+def _ais_steps(params: ModelParams, b_base: np.ndarray, n_temps: int,
+               n_chains: int, rng: np.random.Generator):
+    """One AIS run, drawing from rng, as n_temps - 1 steps: each step moves
+    the chains to the next temperature, adds its term to the importance log
+    weights and yields them (the same array each time), so a run can be
+    stopped after any step and resumed, on any thread.
 
     The draws and their order are those of the composed steps this replaces
     (`unit_inputs`, `z_posterior` and `sampling.gibbs_sweep` on a model
     refilled at each temperature), and so are the operations on each value,
     so every weight keeps its bits; `tests/oracles.ais_building_afresh` is
     that composition. Each step calls the core of its public kernel on
-    buffers allocated once per run, and the kernel reads params' arrays and
-    penalty, so it calls no traced function and may run on any thread.
+    buffers allocated once per run, at its first step, and the kernel reads
+    params' arrays and penalty, so it calls no traced function.
     """
     W, b_v, c, U, d, pen = (params.W, params.b_v, params.c, params.U, params.d,
                             params.penalty)
@@ -612,18 +646,17 @@ def _ais_log_weights(params: ModelParams, b_base: np.ndarray, n_temps: int,
         log_norm(betas[k], Y, ln)
         np.subtract(ln, prev, out=step)
         log_w += step
-        if k == n_temps - 1:
-            break
-        # sampling.gibbs_sweep, z drawn from the posterior just read
-        # (ZPosterior.sample)
-        Z = _categorical_rows(_clamped_probs(head, tail, ln, w, u_z), u_z, rng) + 1
-        _draw_h(A, Z, rng, H, u_h, w, on)
-        _draw_v(H, mW, mb, rng, V, P)
-        if labeled:
-            Y = _draw_y(H, mU, md, rng, L, u_y)
-        target_inputs(Y)
-        log_norm(betas[k], Y, prev)
-    return log_w
+        if k < n_temps - 1:
+            # sampling.gibbs_sweep, z drawn from the posterior just read
+            # (ZPosterior.sample)
+            Z = _categorical_rows(_clamped_probs(head, tail, ln, w, u_z), u_z, rng) + 1
+            _draw_h(A, Z, rng, H, u_h, w, on)
+            _draw_v(H, mW, mb, rng, V, P)
+            if labeled:
+                Y = _draw_y(H, mU, md, rng, L, u_y)
+            target_inputs(Y)
+            log_norm(betas[k], Y, prev)
+        yield log_w
 
 
 def _generator_state(rng: np.random.Generator) -> str:
@@ -645,16 +678,28 @@ class _AisRun:
     log_w: np.ndarray | None = None
 
 
-def _make_ais_runs(runs, n_temps: int, n_chains: int, b_base: np.ndarray):
-    """Fill each reserved run's log weights, from its own generator, and
-    check that the generator ends where the reservation left the shared
-    one. Calls no traced function, so it may run on any thread."""
-    for run in runs:
-        run.log_w = _ais_log_weights(run.params, b_base, n_temps, n_chains,
-                                     run.rng)
-        if _generator_state(run.rng) != run.end:
-            raise RuntimeError("an AIS run did not end where its reservation "
-                               "did: the skipped draws are not the run's")
+def _step_plan(runs: int, steps: int, workers: int) -> list[list[tuple]]:
+    """McNaughton's wrap-around plan of `runs` runs of `steps` steps each
+    over min(workers, runs) workers: the steps of run 0, then run 1, and so
+    on, are dealt in turn ceil(runs * steps / workers) to a worker. A run
+    that crosses the cut between workers w and w + 1 is split: its first
+    steps open w + 1's list and its last steps close w's, so, as a run has
+    no more steps than a worker, its first part is due to end before its
+    last part is due to start. Returns each worker's list of (run, first
+    step, stop); with workers >= runs, every run whole on a worker of its
+    own. Workers left with no step are dropped; the first holds run 0."""
+    workers = min(workers, runs)
+    share = -(-runs * steps // workers)
+    plan = [[] for _ in range(workers)]
+    for r in range(runs):
+        w, over = divmod(r * steps, share)
+        first = over + steps - share        # steps past the cut, if any
+        if first <= 0:
+            plan[w].append((r, 0, steps))
+        else:
+            plan[w + 1].append((r, 0, first))
+            plan[w].append((r, first, steps))
+    return [pieces for pieces in plan if pieces]
 
 
 @dataclass
@@ -694,21 +739,51 @@ class _Ais:
         return _AisRun(params, start, end, _bootstrap_indices(rng, N, self.n_boot))
 
     def make(self, runs: list[_AisRun], caller_work):
-        """Make the reserved runs in `_shares` on `_call_on_threads`: this
-        thread calls caller_work() before its share. Returns what
-        caller_work returned and (log Z, std err) of each run, reduced here
-        in run order."""
+        """Make the reserved runs by the `_step_plan` of their temperature
+        steps on `_call_on_threads`: this thread calls caller_work() before
+        its list. Returns what caller_work returned and (log Z, std err) of
+        each run, reduced here in run order."""
         b_base = _base_biases(runs[0].params.D, self.base_means)
-        shares = [[runs[i] for i in share] for share in _shares(len(runs))]
+        steps = self.n_temps - 1
+        todo = [_ais_steps(run.params, b_base, self.n_temps, self.n_chains,
+                           run.rng) for run in runs]
+        # a split run's last part waits for its first part on another worker
+        ready = [threading.Event() for _ in runs]
+        failed = threading.Event()
 
-        def caller():
+        def work(pieces):
+            """Take the pieces' steps in order. A piece that raises wakes
+            every waiting worker, which then stops; the error is raised in
+            the caller by `_call_on_threads`. Calls no traced function."""
+            try:
+                for r, lo, hi in pieces:
+                    if lo:
+                        ready[r].wait()
+                    if failed.is_set():
+                        return
+                    for _ in range(lo, hi):
+                        runs[r].log_w = next(todo[r])
+                    ready[r].set()
+                    if hi == steps:
+                        todo[r] = None          # frees the run's buffers
+                        if _generator_state(runs[r].rng) != runs[r].end:
+                            raise RuntimeError(
+                                "an AIS run did not end where its reservation "
+                                "did: the skipped draws are not the run's")
+            except BaseException:
+                failed.set()
+                for r, _, _ in pieces:
+                    ready[r].set()
+                raise
+
+        def caller(pieces):
             out = caller_work()
-            _make_ais_runs(shares[0], self.n_temps, self.n_chains, b_base)
+            work(pieces)
             return out
 
-        out = _call_on_threads(
-            [caller] + [partial(_make_ais_runs, share, self.n_temps, self.n_chains,
-                                b_base) for share in shares[1:]])[0]
+        plan = _step_plan(len(runs), steps, _worker_count(len(runs)))
+        out = _call_on_threads([partial(caller, plan[0])]
+                               + [partial(work, pieces) for pieces in plan[1:]])[0]
         results = [_ais_result(run.params, b_base, run.log_w, run.idx) for run in runs]
         return out, [(r.log_z, r.std_err) for r in results]
 

@@ -1003,17 +1003,19 @@ class TestAisWorkers:
         model, X, _ = ais_case(0)
         force_workers(monkeypatch, 2)
         caller = threading.get_ident()
-        run = ev._ais_log_weights
+        steps = ev._ais_steps
         threads = []
 
         def flaky(*args):
-            log_w = run(*args)
+            # records the thread that starts each run; a step on the worker
+            # spoils the first chain's running weight
             threads.append(threading.get_ident())
-            if threads[-1] != caller:
-                log_w[0] = np.nan
-            return log_w
+            for log_w in steps(*args):
+                if threading.get_ident() != caller:
+                    log_w[0] = np.nan
+                yield log_w
 
-        monkeypatch.setattr(ev, "_ais_log_weights", flaky)
+        monkeypatch.setattr(ev, "_ais_steps", flaky)
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="1/3 AIS weights"):
             full_report(model, X, n_perms=2, m=4, rng=stream(978, "nan"),
@@ -1031,29 +1033,94 @@ class TestAisWorkers:
         model, X, _ = ais_case(0)
         force_workers(monkeypatch, 2)
         opened, ran = [], []
-        open_span, run = tracing.Tracer._open, ev._ais_log_weights
+        open_span, steps = tracing.Tracer._open, ev._ais_steps
 
         def recording_open(self, name):
             opened.append(threading.get_ident())
             return open_span(self, name)
 
-        def recording_run(*args):
-            ran.append(threading.get_ident())
-            return run(*args)
+        def recording_steps(*args):
+            for log_w in steps(*args):
+                ran.append(threading.get_ident())
+                yield log_w
 
         monkeypatch.setattr(tracing.Tracer, "_open", recording_open)
-        monkeypatch.setattr(ev, "_ais_log_weights", recording_run)
+        monkeypatch.setattr(ev, "_ais_steps", recording_steps)
         tr = tracing.Tracer()
         with tr.installed(irbm):
             irbm.evaluation.full_report(model, X, n_perms=2, m=4,
                                         rng=stream(979, "traced"), cap=0,
                                         ais_temps=6, ais_chains=3)
-        assert len(set(ran)) == 2            # the runs did use a worker
+        assert len(set(ran)) == 2            # the steps did use a worker
         assert set(opened) == {threading.get_ident()}
         assert all(s[3] < i and s[1] <= s[2] for i, s in enumerate(tr.spans))
         names = collections.Counter(s[0] for s in tr.spans)
         assert names["evaluation.full_report"] == 1
         assert names["evaluation.order_pass"] == 3
+
+    @pytest.mark.parametrize("runs", range(1, 7))
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("steps", [1, 4, 99])
+    def test_step_plan(self, runs, workers, steps):
+        from irbm.evaluation import _step_plan
+        plan = _step_plan(runs, steps, workers)
+        # at most one worker per run, so a run is never split in three
+        share = -(-runs * steps // min(workers, runs))
+        assert 1 <= len(plan) <= workers and plan[0][0][:2] == (0, 0)
+        pieces = sorted(piece for pieces in plan for piece in pieces)
+        for r in range(runs):
+            # each run's steps once, in order: one piece, or two that meet
+            cover = [piece[1:] for piece in pieces if piece[0] == r]
+            assert [lo for lo, _ in cover] == [0] + [hi for _, hi in cover[:-1]]
+            assert cover[-1][1] == steps and all(lo < hi for lo, hi in cover)
+            assert len(cover) <= 2
+        assert len(pieces) == len(set(pieces))
+        for w, pieces in enumerate(plan):
+            assert sum(hi - lo for _, lo, hi in pieces) <= share
+            for i, (r, lo, hi) in enumerate(pieces):
+                if lo:                       # the last part of a split run
+                    assert i == len(pieces) - 1
+                    assert plan[w + 1][0] == (r, 0, lo)
+                elif hi < steps:             # its first part
+                    assert i == 0 and plan[w - 1][-1] == (r, hi, steps)
+                    # it ends before the last part starts on the other worker
+                    assert hi <= sum(b - a for _, a, b in plan[w - 1][:-1])
+        if workers >= runs:
+            assert plan == [[(r, 0, steps)] for r in range(runs)]
+
+    def test_a_failed_piece_stops_every_worker(self, monkeypatch):
+        # the worker's first piece is the first part of a run whose last
+        # part the calling thread waits for
+        import irbm.evaluation as ev
+        model, X, _ = ais_case(0)
+        force_workers(monkeypatch, 2)
+        steps, out = ev._ais_steps, {}
+
+        class Boom(Exception):
+            pass
+
+        def failing(*args):
+            if threading.get_ident() != out["caller"]:
+                raise Boom
+            yield from steps(*args)
+
+        def report():
+            out["caller"] = threading.get_ident()
+            try:
+                full_report(model, X, n_perms=2, m=4, rng=stream(983, "boom"),
+                            cap=0, ais_temps=9, ais_chains=3)
+            except Exception as exc:
+                out["error"] = exc
+
+        monkeypatch.setattr(ev, "_ais_steps", failing)
+        assert ev._step_plan(3, 8, 2)[1][0] == (1, 0, 4)
+        before = threading.active_count()
+        t = threading.Thread(target=report, daemon=True)
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive()
+        assert isinstance(out.get("error"), Boom)
+        assert threading.active_count() == before
 
 
 class TestLabelReads:

@@ -3,6 +3,7 @@ import copy
 import itertools
 import json
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -1088,20 +1089,53 @@ class TestAisWorkers:
         if workers >= runs:
             assert plan == [[(r, 0, steps)] for r in range(runs)]
 
+    def test_split_runs_keep_their_bits_under_frequent_switches(self, monkeypatch):
+        # three workers on two cores, every plan with split runs, and the
+        # interpreter switching threads every microsecond
+        from irbm.evaluation import _step_plan
+        model, X, Y = ais_case(3)
+        assert all(any(lo for pieces in _step_plan(runs, 7, 3) for _, lo, _ in pieces)
+                   for runs in (4, 5, 7))
+        outs = []
+
+        def reports():
+            for k in (1, 3):
+                force_workers(monkeypatch, k)
+                for n_perms in (3, 4, 6):
+                    rng = stream(984, "switches", n_perms)
+                    report = full_report(model, X, Y, n_perms=n_perms, m=4, rng=rng,
+                                         cap=0, ais_temps=8, ais_chains=4)
+                    outs.append((report.to_json(), generator_state(rng)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t = threading.Thread(target=reports, daemon=True)
+            t.start()
+            t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not t.is_alive() and len(outs) == 6
+        assert outs[3:] == outs[:3]
+
     def test_a_failed_piece_stops_every_worker(self, monkeypatch):
         # the worker's first piece is the first part of a run whose last
-        # part the calling thread waits for
+        # part the calling thread waits for; it fails only once the calling
+        # thread has started its own first run, so that thread goes on to
+        # wait for the failed part
         import irbm.evaluation as ev
         model, X, _ = ais_case(0)
         force_workers(monkeypatch, 2)
-        steps, out = ev._ais_steps, {}
+        steps, out, started = ev._ais_steps, {}, threading.Event()
 
         class Boom(Exception):
             pass
 
         def failing(*args):
             if threading.get_ident() != out["caller"]:
+                started.wait(timeout=30)
                 raise Boom
+            started.set()
             yield from steps(*args)
 
         def report():
@@ -1117,7 +1151,7 @@ class TestAisWorkers:
         before = threading.active_count()
         t = threading.Thread(target=report, daemon=True)
         t.start()
-        t.join(timeout=60)
+        t.join(timeout=30)
         assert not t.is_alive()
         assert isinstance(out.get("error"), Boom)
         assert threading.active_count() == before

@@ -31,7 +31,7 @@ from .evaluation import EXACT_D_CAP, full_report
 from .model import ParamBundle, PenaltyConfig, marginal_z_posterior, zero_model
 from .rng import stream
 from .sampling import gibbs_sweep
-from .training import TrainConfig, Trainer
+from .training import COUNT, SEED, Domain, TrainConfig, Trainer, domains, setting
 
 METRICS_HEADER = "# irbm-metrics v1"
 METRICS_COLUMNS = "epoch,avg_loglik,error,N_h,l_t,M_t,max_log_mass"
@@ -44,14 +44,14 @@ class RunConfig:
 
     dataset: str = ""
     out_dir: str = "runs/out"
-    epochs: int = 10
-    eval_every: int = 50
-    checkpoint_every: int = 0          # additionally keep every k'th epoch
-    metrics_subsample: int = 2048
-    exact_cap: int = EXACT_D_CAP
-    ais_temps: int = 1000
-    ais_chains: int = 100
-    beta: float = 1.01
+    epochs: int = setting(10, COUNT)
+    eval_every: int = setting(50, COUNT)
+    checkpoint_every: int = setting(0, Domain(0))   # also keep every k'th epoch
+    metrics_subsample: int = setting(2048, COUNT)
+    exact_cap: int = setting(EXACT_D_CAP, Domain(0))   # 0: always AIS
+    ais_temps: int = setting(1000, Domain(2))
+    ais_chains: int = setting(100, COUNT)
+    beta: float = 1.01                 # checked, with penalty_mode, by PenaltyConfig
     penalty_mode: str = "constant"
     resume: str = ""
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -59,20 +59,8 @@ class RunConfig:
     def validate(self):
         if not self.dataset:
             raise ValueError("a dataset must be given")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0 (0: only the latest)")
-        if self.metrics_subsample < 1:
-            raise ValueError("metrics_subsample must be >= 1")
-        if self.ais_temps < 2:
-            raise ValueError("ais_temps must be >= 2")
-        if self.ais_chains < 1:
-            raise ValueError("ais_chains must be >= 1")
-        if self.exact_cap < 0:
-            raise ValueError("exact_cap must be >= 0 (0: always AIS)")
+        for name, domain in domains(RunConfig).items():
+            domain.check(name, getattr(self, name))
         PenaltyConfig(self.beta, self.penalty_mode)
         self.train.validate()
         return self
@@ -145,6 +133,8 @@ SYNTHETIC = {
     "shifted": (synth_shifted_patterns, {"length": 8, "width": 3, "n": 500,
                                          "seed": 0, "labeled": False}),
 }
+# the spec keys both families share; the builders check the others
+SPEC_DOMAINS = {"n": COUNT, "seed": SEED}
 
 
 def resolve_dataset(spec: str, split: str = "train") -> Dataset:
@@ -162,6 +152,8 @@ def resolve_dataset(spec: str, split: str = "train") -> Dataset:
                     raise ValueError(f"expected key=value with key in "
                                      f"{', '.join(defaults)}, got {part!r}")
                 args[key] = _coerce(value, defaults[key])
+            for key, domain in SPEC_DOMAINS.items():
+                domain.check(key, args[key])
         except ValueError as exc:
             raise ValueError(f"dataset spec {spec!r}: {exc}") from None
         return build(**args)
@@ -294,9 +286,7 @@ def cmd_train(args) -> int:
         while trainer.epochs_done < config.epochs:
             stats = trainer.run_epoch(X, Y)
             m = _epoch_metrics(trainer, X, Y, config)
-            print(_metrics_row(stats["epoch"], m["avg_loglik"], m["error"],
-                               m["n_h"], m["l_t"], m["m_t"],
-                               m["max_log_mass"]), file=metrics)
+            print(_metrics_row(stats["epoch"], **m), file=metrics)
             metrics.flush()
             loglik_text = ("" if m["avg_loglik"] is None
                            else f" loglik={m['avg_loglik']:.4f}")
@@ -390,11 +380,8 @@ def _image_shape(D: int) -> tuple[int, int]:
 
 
 def cmd_sample(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    params = ckpt.params
+    params = load_checkpoint(args.checkpoint).params
     out_dir = Path(args.out_dir)
-    if args.n_samples < 0:
-        raise ValueError("n_samples must be >= 0")
     if args.n_samples == 0:
         print("nothing to do: 0 samples requested")
         return 0
@@ -412,8 +399,7 @@ def cmd_sample(args) -> int:
     lo, hi = w.min(), w.max()
     scaled = np.zeros_like(w) if hi == lo else (w - lo) / (hi - lo)
     filters_path = out_dir / "filters.pgm"
-    write_pgm(filters_path, _tile_grid((scaled * 255).astype(np.uint8),
-                                       height, width))
+    write_pgm(filters_path, _tile_grid((scaled * 255).astype(np.uint8), height, width))
     print(f"wrote {samples_path} and {filters_path} "
           f"({args.n_samples} samples, {args.steps} steps)")
     return 0
@@ -533,8 +519,6 @@ def cmd_convert_dataset(args) -> int:
     if args.format == "idx":
         if not args.images:
             raise ValueError("--images is required for idx conversion")
-        if not 0.0 <= args.valid_fraction < 1.0:
-            raise ValueError("--valid-fraction must lie in [0, 1)")
         intensities, labels = load_mnist_idx(args.images, args.labels)
         ds = binarize_stochastic(intensities, seed=args.seed, labels=labels,
                                  n_classes=(int(labels.max()) + 1
@@ -545,20 +529,18 @@ def cmd_convert_dataset(args) -> int:
                 raise ValueError("--valid-fraction only applies to the train split")
             order = stream(args.seed, "valid-split").permutation(ds.n)
             n_valid = int(round(args.valid_fraction * ds.n))
-            vi, ti = order[:n_valid], order[n_valid:]
+            parts = (("train", order[n_valid:]), ("valid", order[:n_valid]))
             write_ibmp(out, {
-                "train": Dataset(X=ds.X[ti],
-                                 y=None if ds.y is None else ds.y[ti],
-                                 n_classes=ds.n_classes, split="train"),
-                "valid": Dataset(X=ds.X[vi],
-                                 y=None if ds.y is None else ds.y[vi],
-                                 n_classes=ds.n_classes, split="valid"),
-            })
+                split: Dataset(X=ds.X[rows], y=None if ds.y is None else ds.y[rows],
+                               n_classes=ds.n_classes, split=split)
+                for split, rows in parts})
         else:
             write_ibmp(out, {args.split: ds})
     elif args.format == "npz":
         if not args.npz:
             raise ValueError("--npz is required for npz conversion")
+        if args.valid_fraction:
+            raise ValueError("--valid-fraction only applies to idx conversion")
         payload = np.load(args.npz)
         # every split's labels set n_classes; each array is read once
         labels = {split: payload[f"{split}_y"] for split in ("train", "valid", "test")
@@ -604,7 +586,8 @@ def cmd_convert_dataset(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="irbm",
-        description="Train and evaluate iRBMs with random-permutation training.")
+        description="Train and evaluate iRBMs with random-permutation training.",
+        exit_on_error=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("train", help="run training epochs")
@@ -670,38 +653,38 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", required=True)
     v.set_defaults(func=cmd_convert_dataset)
+    # a flag value argparse cannot read is a validation failure (exit 1)
+    for command in sub.choices.values():
+        command.exit_on_error = parser.exit_on_error
     return parser
 
 
+# the checked flags that name no configuration key; --seed, --exact-cap,
+# --ais-temps and --ais-chains take their key's domain
+FLAG_DOMAINS = {"perms": COUNT, "steps": Domain(0), "n_samples": Domain(0),
+                "valid_fraction": Domain(0.0, 1.0)}
+
+
 def _check_flags(args) -> None:
-    """Refuse a flag outside its domain before a command loads anything,
-    with the domains `RunConfig` and `TrainConfig` give the same settings."""
-    seed = getattr(args, "seed", None)
-    if seed is not None and not 0 <= seed < 2 ** 64:
-        raise ValueError(f"--seed must be in [0, 2**64), got {seed}")
-    for flag, least in (("perms", 1), ("ais_temps", 2), ("ais_chains", 1),
-                        ("exact_cap", 0), ("steps", 0)):
-        value = getattr(args, flag, None)
-        if value is not None and value < least:
-            name = "--" + flag.replace("_", "-")
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+    """Refuse a flag outside its domain before a command loads anything."""
+    table = {**domains(RunConfig, TrainConfig), **FLAG_DOMAINS}
+    for name in ("seed", "exact_cap", "ais_temps", "ais_chains", *FLAG_DOMAINS):
+        if (value := getattr(args, name, None)) is not None:
+            table[name].check("--" + name.replace("_", "-"), value)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_flags(args)
         return args.func(args)
-    except CheckpointError as exc:
+    # a CheckpointError is a ValueError, so it is caught first
+    except (CheckpointError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (argparse.ArgumentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

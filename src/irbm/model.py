@@ -131,6 +131,14 @@ def suffix_probs(head, tail, log_norm):
     return w[..., ::-1]
 
 
+# Largest beta: the log-likelihood, a difference of terms of size beta*ln2,
+# loses its digits above it. A 2-epoch run on bars:side=3,n=60,seed=1 reads
+# avg_loglik -6.2073 for every beta from 10 to 1e10 (within 1e-6), -6.2031 at
+# 1e14, -4.0 at 1e16, 0.0 at 1e20, -1.5e299 at 1e300 (dynamic mode), and
+# nothing, with an overflow warning, at 1e308.
+BETA_MAX = 1e10
+
+
 @dataclass(frozen=True)
 class PenaltyConfig:
     """Per-unit energy penalty.
@@ -144,8 +152,8 @@ class PenaltyConfig:
     mode: str = "constant"
 
     def __post_init__(self):
-        if not np.isfinite(self.beta) or self.beta <= 1.0:
-            raise ValueError(f"beta must be finite and > 1, got {self.beta}")
+        if not 1.0 < self.beta <= BETA_MAX:   # NaN fails
+            raise ValueError(f"beta must be in (1, {BETA_MAX:g}], got {self.beta}")
         if self.mode not in ("constant", "dynamic"):
             raise ValueError(f"penalty_mode must be 'constant' or 'dynamic', "
                              f"got {self.mode!r}")
@@ -292,13 +300,6 @@ def zero_model(D: int, C: int = 0, beta: float = 1.01,
                        U=U, d=d, penalty=PenaltyConfig(beta=beta, mode=penalty_mode))
 
 
-def _as_batch(v) -> tuple[np.ndarray, bool]:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 1:
-        return v[None, :], True
-    return v, False
-
-
 def _label_array(y, n: int) -> np.ndarray:
     y = np.asarray(y, dtype=np.int64)
     if y.ndim == 0:
@@ -306,18 +307,16 @@ def _label_array(y, n: int) -> np.ndarray:
     return y
 
 
-def unit_inputs(params: ModelParams, v, y=None) -> np.ndarray:
-    """Total input W_i.v (+ U_i.e_y) + c_i of each materialized unit.
-
-    v may be one vector or a batch (n, D); returns (l,) or (n, l).
-    """
-    V, single = _as_batch(v)
-    if V.shape[1] != params.D:
-        raise ValueError(f"visible vector has length {V.shape[1]}, model D={params.D}")
+def unit_inputs(params: ModelParams, V, y=None) -> np.ndarray:
+    """Total input W_i.v (+ U_i.e_y) + c_i of each materialized unit, for a
+    batch V (n, D); returns (n, l)."""
+    V = np.asarray(V, dtype=np.float64)
+    if V.ndim != 2 or V.shape[1] != params.D:
+        raise ValueError(f"V has shape {V.shape}, expected (n, {params.D})")
     A = V @ params.W.T + params.c
     if y is not None:
         A = with_label_inputs(params, A, y)
-    return A[0] if single else A
+    return A
 
 
 def with_label_inputs(params: ModelParams, A, y) -> np.ndarray:
@@ -354,25 +353,24 @@ def _cumulative_unit_terms(A, penalties, log_tail_ratio: float, out, scratch):
     return out
 
 
-def free_energy(params: ModelParams, v, z: int, y=None):
-    """-log sum_{h in H_z} e^{-E(v, h, z)}; the label variant includes the
-    label bias. For z beyond the pool each extra unit adds beta_zero - ln2.
+def free_energy(params: ModelParams, V, z: int, y=None) -> np.ndarray:
+    """-log sum_{h in H_z} e^{-E(v, h, z)} of each row of a batch V; the
+    label variant includes the label bias. For z beyond the pool each extra
+    unit adds beta_zero - ln2.
     """
     if z < 1:
         raise ValueError("z must be >= 1")
-    V, single = _as_batch(v)
+    V = np.asarray(V, dtype=np.float64)
     cum = cumulative_unit_terms(params, unit_inputs(params, V, y))
     l = params.l
     base = V @ params.b_v
     if y is not None:
-        Y = _label_array(y, V.shape[0])
-        base = base + params.d[Y]
+        base = base + params.d[_label_array(y, V.shape[0])]
     if z <= l:
         s = cum[:, z - 1]
     else:
         s = cum[:, l - 1] + (z - l) * params.penalty.log_tail_ratio
-    F = -(base + s)
-    return float(F[0]) if single else F
+    return -(base + s)
 
 
 @dataclass
@@ -471,22 +469,19 @@ def _z_weights(params: ModelParams, A, base) -> ZPosterior:
     return ZPosterior(head, head[..., -1] + params.penalty.log_tail_geometric_sum)
 
 
-def z_posterior(params: ModelParams, v, y=None, *, A=None) -> ZPosterior:
-    """Posterior over z given one visible vector or a batch.
+def z_posterior(params: ModelParams, V, y=None, *, A=None) -> ZPosterior:
+    """Posterior over z given each row of a visible batch V.
 
     With a label (scalar or per-row array) this is the posterior given
     (v, y); the geometric tail is always included in the normalization.
-    A, when given, is unit_inputs(params, v, y) of the batch.
+    A, when given, is unit_inputs(params, V, y).
     """
-    V, single = _as_batch(v)
-    A = unit_inputs(params, V, y) if A is None else np.atleast_2d(A)
+    V = np.asarray(V, dtype=np.float64)
+    A = unit_inputs(params, V, y) if A is None else A
     base = V @ params.b_v
     if y is not None:
         base = base + params.d[_label_array(y, V.shape[0])]
-    post = _z_weights(params, A, base)
-    if single:
-        return ZPosterior(post.head_log_weights[0], post.tail_log_mass[0])
-    return post
+    return _z_weights(params, A, base)
 
 
 def label_joint_log_weights(params: ModelParams, V, *, A=None) -> ZPosterior:
@@ -516,24 +511,24 @@ def label_blocks(params: ModelParams, V, A=None):
         yield rows, label_joint_log_weights(params, V[rows], A=A[rows])
 
 
-def log_cond_y_given_v(params: ModelParams, v, *, A=None) -> np.ndarray:
-    """`ZPosterior.log_label_probs` of one vector (C,) or a batch (n, C).
-    A, when given, is the label-free unit_inputs(params, v)."""
-    V, single = _as_batch(v)
+def log_cond_y_given_v(params: ModelParams, V, *, A=None) -> np.ndarray:
+    """`ZPosterior.log_label_probs` of a batch V, (n, C). A, when given, is
+    the label-free unit_inputs(params, V)."""
+    V = np.asarray(V, dtype=np.float64)
     out = np.empty((V.shape[0], params.C))
     for rows, joint in label_blocks(params, V, A):
         out[rows] = joint.log_label_probs()
-    return out[0] if single else out
+    return out
 
 
-def marginal_z_posterior(params: ModelParams, v, *, log_cond_y=None) -> ZPosterior:
+def marginal_z_posterior(params: ModelParams, V, *, log_cond_y=None) -> ZPosterior:
     """p(z | v) regardless of labels: for labeled models the classes are
     summed out, block by block over `label_blocks`; otherwise this is the
     plain posterior. log_cond_y, when given, is an (n, C) array that
     receives log p(y | v) of a labeled batch from the same blocks."""
     if not params.has_labels:
-        return z_posterior(params, v)
-    V, single = _as_batch(v)
+        return z_posterior(params, V)
+    V = np.asarray(V, dtype=np.float64)
     n = V.shape[0]
     head, tail = np.empty((n, params.l + 1)), np.empty(n)
     for rows, joint in label_blocks(params, V):
@@ -542,7 +537,7 @@ def marginal_z_posterior(params: ModelParams, v, *, log_cond_y=None) -> ZPosteri
         tail[rows] = block.tail_log_mass
         if log_cond_y is not None:
             log_cond_y[rows] = joint.log_label_probs()
-    return ZPosterior(head[0], tail[0]) if single else ZPosterior(head, tail)
+    return ZPosterior(head, tail)
 
 
 def check_permutation(order, max_len: int) -> np.ndarray:

@@ -83,7 +83,7 @@ is bounded the same way, elementwise, so it needs no guard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import expit
@@ -110,75 +110,96 @@ OBJECTIVES = ("generative", "discriminative", "hybrid")
 Gradients = ParamBundle
 
 
+@dataclass(frozen=True)
+class Domain:
+    """The values one setting may take: one of `choices`, or a number from
+    lo to hi whose `ends` are closed ([ ]) or open (( )). inf passes only a
+    closed inf end, NaN no numeric domain, and None only with `none`. An
+    int lo with no hi reads ">= lo"."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    ends: str = "[)"
+    choices: tuple = ()
+    none: bool = False
+
+    def __str__(self):
+        if self.choices:
+            text = f"one of {self.choices}"
+        elif isinstance(self.lo, int) and self.hi == math.inf:
+            text = f"{'>' if self.ends[0] == '(' else '>='} {self.lo}"
+        else:
+            lo, hi = ("2**64" if x == 2 ** 64 else f"{x:g}" for x in (self.lo, self.hi))
+            text = f"in {self.ends[0]}{lo}, {hi}{self.ends[1]}"
+        return f"{text} or none" if self.none else text
+
+    def check(self, name: str, value):
+        """Raise a ValueError naming `name` when value lies outside."""
+        if value is None or self.choices:
+            ok = self.none if value is None else value in self.choices
+        else:
+            ok = ((self.lo < value if self.ends[0] == "(" else self.lo <= value)
+                  and (value < self.hi if self.ends[1] == ")" else value <= self.hi))
+        if not ok:
+            raise ValueError(f"{name} must be {self}, got {value!r}")
+
+
+def setting(default, domain: Domain):
+    """A settings dataclass field whose values must lie in `domain`."""
+    return field(default=default, metadata={"domain": domain})
+
+
+def domains(*classes) -> dict:
+    """Name -> Domain of each field of the settings classes that has one."""
+    return {f.name: f.metadata["domain"] for cls in classes for f in fields(cls)
+            if "domain" in f.metadata}
+
+
+SEED = Domain(0, 2 ** 64)                         # the range a checkpoint stores
+POSITIVE_OR_INF = Domain(0.0, math.inf, "(]")     # inf: no decay or no clipping
+NONNEGATIVE = Domain(0.0)
+COUNT = Domain(1)
+
+
 @dataclass
 class TrainConfig:
-    """Knobs of one training run (everything except the data and epochs)."""
+    """Knobs of one training run (everything except the data and epochs),
+    each with its domain."""
 
-    objective: str = "generative"
-    alpha: float = 0.0                    # generative share of the hybrid mix
-    hybrid_convention: str = "paper"      # paper: (1+a)*dis + a*gen; larochelle: dis + a*gen
-    dis_grad: str = "exact"               # exact | sampled
-    lr_mode: str = "adagrad"              # adagrad | decay
-    global_lr: float = 0.05
-    lr_half_life: float = 1000.0          # decay mode: lr(t) = global_lr / (1 + t/half_life)
-    adagrad_eps: float = 1e-8
-    cd_steps: int = 1
-    use_pcd: bool = False
-    n_chains: int | None = None           # default: minibatch_size
-    l1_weight: float = 1e-4
-    l2_weight: float = 1e-4
-    w_bound: float = 10.0
-    u_bound: float = 5.0
-    minibatch_size: int = 100
-    regroup_mode: str = "off"             # off | fixed | adaptive
-    regroup_rho: float = 0.75
-    adaptive_switch_epoch: int | None = None   # None: switch when l grows < 1% per epoch
-    momentum_start: float = 0.5
-    momentum_end: float = 0.9
-    momentum_ramp_updates: int | None = None   # None: 10 epochs' worth of updates
-    seed: int = 0
+    objective: str = setting("generative", Domain(choices=OBJECTIVES))
+    alpha: float = setting(0.0, NONNEGATIVE)  # generative share of the hybrid mix
+    # paper: (1+a)*dis + a*gen; larochelle: dis + a*gen
+    hybrid_convention: str = setting("paper", Domain(choices=("paper", "larochelle")))
+    dis_grad: str = setting("exact", Domain(choices=("exact", "sampled")))
+    lr_mode: str = setting("adagrad", Domain(choices=("adagrad", "decay")))
+    # ADAGRAD's first step is about global_lr; 1e6 fails `irbm check` on 3x3 bars
+    global_lr: float = setting(0.05, Domain(0.0, 1e4, "(]"))
+    # decay mode: lr(t) = global_lr / (1 + t/half_life)
+    lr_half_life: float = setting(1000.0, POSITIVE_OR_INF)
+    adagrad_eps: float = setting(1e-8, Domain(0.0, ends="()"))
+    cd_steps: int = setting(1, COUNT)
+    use_pcd: bool = setting(False, Domain(choices=(False, True)))
+    n_chains: int | None = setting(None, Domain(1, none=True))  # None: minibatch_size
+    l1_weight: float = setting(1e-4, NONNEGATIVE)
+    l2_weight: float = setting(1e-4, NONNEGATIVE)
+    w_bound: float = setting(10.0, POSITIVE_OR_INF)
+    u_bound: float = setting(5.0, POSITIVE_OR_INF)
+    minibatch_size: int = setting(100, COUNT)
+    regroup_mode: str = setting("off", Domain(choices=("off", "fixed", "adaptive")))
+    regroup_rho: float = setting(0.75, Domain(0.0, 0.9, "[]"))
+    # None: switch when l grows < 1% per epoch
+    adaptive_switch_epoch: int | None = setting(None, Domain(0, none=True))
+    momentum_start: float = setting(0.5, Domain(0.0, 1.0))
+    momentum_end: float = setting(0.9, Domain(0.0, 1.0))
+    # None: 10 epochs' worth of updates
+    momentum_ramp_updates: int | None = setting(None, Domain(0, none=True))
+    seed: int = setting(0, SEED)
 
     def validate(self):
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {OBJECTIVES}")
-        if self.hybrid_convention not in ("paper", "larochelle"):
-            raise ValueError("hybrid_convention must be 'paper' or 'larochelle'")
-        if self.dis_grad not in ("exact", "sampled"):
-            raise ValueError("dis_grad must be 'exact' or 'sampled'")
-        if self.lr_mode not in ("adagrad", "decay"):
-            raise ValueError("lr_mode must be 'adagrad' or 'decay'")
-        # each check is written so that NaN fails it; inf is refused where
-        # it would make a step non-finite or zero (adagrad_eps), and kept
-        # where it means no decay (lr_half_life) or no clipping (w_bound,
-        # u_bound)
-        for name in ("alpha", "l1_weight", "l2_weight"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
-        for name in ("global_lr", "adagrad_eps"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        for name in ("lr_half_life", "w_bound", "u_bound"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must be in [0, 2**64), the range a "
-                             "checkpoint stores")
-        if self.cd_steps < 1:
-            raise ValueError("cd_steps must be >= 1")
-        if self.minibatch_size < 1:
-            raise ValueError("minibatch_size must be >= 1")
-        if self.n_chains is not None and self.n_chains < 1:
-            raise ValueError("n_chains must be None (minibatch_size) or >= 1")
-        for name in ("adaptive_switch_epoch", "momentum_ramp_updates"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be None (automatic) or >= 0")
-        if self.regroup_mode not in ("off", "fixed", "adaptive"):
-            raise ValueError("regroup_mode must be off, fixed or adaptive")
-        if not 0.0 <= self.regroup_rho <= 0.9:
-            raise ValueError("regroup_rho must lie in [0, 0.9]")
-        if not 0.0 <= self.momentum_start <= self.momentum_end < 1.0:
-            raise ValueError("need 0 <= momentum_start <= momentum_end < 1")
+        for name, domain in domains(TrainConfig).items():
+            domain.check(name, getattr(self, name))
+        if not self.momentum_start <= self.momentum_end:
+            raise ValueError("momentum_start must be <= momentum_end")
         return self
 
 

@@ -68,12 +68,12 @@ def test_criterion_1_exactness_suite():
         v = random_binary(9500 + i, 1, D)[0]
         y = (i % C) if C else None
         for z in sorted({1, l, l + 1}):
-            got = free_energy(m, v, z, y=y)
+            got = free_energy(m, v[None], z, y=y)[0]
             want = oracles.free_energy_by_hidden_enumeration(m, v, z, y=y)
             worst_fe = max(worst_fe, abs(got - want))
-        zp = z_posterior(m, v, y)
+        zp = z_posterior(m, v[None], y)
         truncated = oracles.z_posterior_by_truncation(m, v, 10_000, y)
-        head = zp.head_probs()
+        head = zp.head_probs()[0]
         worst_zp = max(worst_zp, float(np.max(np.abs(head - truncated[: l + 1]))))
     elapsed = time.monotonic() - t0
     criterion(1, "exactness suite",
@@ -136,7 +136,7 @@ def test_criterion_3_sampler_fidelity():
 
     ml = make_model(102, D=3, l=2, C=2, scale=0.8)
     v = np.array([1.0, 0.0, 1.0])
-    exact_y = np.exp(log_cond_y_given_v(ml, v))
+    exact_y = np.exp(log_cond_y_given_v(ml, v[None])[0])
     rngd = stream(9303, "acc-dis")
     V_t = np.tile(v, (n_chains, 1))
     Y = rngd.integers(0, 2, size=n_chains)

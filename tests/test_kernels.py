@@ -19,6 +19,7 @@ from conftest import make_model, random_binary, same_bundle
 import irbm.cli as cli
 from irbm import evaluation, model, sampling, training
 from irbm.model import (
+    ZPosterior,
     _clamped_probs,
     _cumulative_unit_terms,
     _log_sum_exp,
@@ -111,11 +112,12 @@ class TestKernelAgreement:
 
     def test_suffix_probs_of_one_posterior(self):
         m = make_model(4, D=5, l=6, scale=3.0)
-        zp = z_posterior(m, random_binary(4, 1, 5)[0])
-        want = _suffix_by_accumulate(zp.head_log_weights, np.asarray(zp.tail_log_mass),
-                                     np.asarray(zp.log_norm))
-        assert np.max(np.abs(zp.p_z_geq() - want)) <= TOL
-        assert zp.p_z_geq()[0] == pytest.approx(1.0, abs=TOL)
+        zp = z_posterior(m, random_binary(4, 1, 5))
+        want = _suffix_by_accumulate(zp.head_log_weights[0],
+                                     np.asarray(zp.tail_log_mass[0]),
+                                     np.asarray(zp.log_norm[0]))
+        assert np.max(np.abs(zp.p_z_geq()[0] - want)) <= TOL
+        assert zp.p_z_geq()[0][0] == pytest.approx(1.0, abs=TOL)
 
     @pytest.mark.parametrize("C, l", [(1, 1), (3, 1), (1, 5), (4, 7)])
     def test_label_weights_match_scipy_forms(self, C, l):
@@ -191,7 +193,9 @@ def _cumulative_unit_terms_cases():
 def _clamped_probs_cases():
     m = make_model(53, D=9, l=13, C=3, scale=3.0)
     V = random_binary(53, 40, 9)
-    for zp in (z_posterior(m, V), z_posterior(m, V[0]), label_joint_log_weights(m, V)):
+    one = z_posterior(m, V[0][None])
+    for zp in (z_posterior(m, V), ZPosterior(one.head_log_weights[0], one.tail_log_mass[0]),
+               label_joint_log_weights(m, V)):
         head = zp.head_log_weights
         yield zp.clamped_probs(), _clamped_probs(head, zp.tail_log_mass, zp.log_norm,
                                                  _nan(head.shape), _nan(head.shape[:-1]))
@@ -281,7 +285,8 @@ class TestZSampler:
         m = make_model(8, D=5, l=4, scale=2.0)
         a, b = stream(9, "z-one"), stream(9, "z-one")
         for v in random_binary(8, 300, 5):
-            zp = z_posterior(m, v)
+            batch = z_posterior(m, v[None])
+            zp = ZPosterior(batch.head_log_weights[0], batch.tail_log_mass[0])
             got = zp.sample(a)
             assert isinstance(got, int)
             assert got == oracles.sample_z_inverse_cdf(zp, b)

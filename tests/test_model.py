@@ -35,21 +35,21 @@ class TestFreeEnergy:
         m = zero_model(D=5)
         v = random_binary(1, 1, 5)[0]
         for z in (1, 2, 7):
-            assert free_energy(m, v, z) == pytest.approx(z * 0.01 * LN2, abs=1e-12)
+            assert free_energy(m, v[None], z)[0] == pytest.approx(z * 0.01 * LN2, abs=1e-12)
 
     def test_tail_units_add_constant(self):
         m = make_model(11, D=4, l=3)
         v = random_binary(2, 1, 4)[0]
         beta_zero = m.penalty.beta_zero
-        f_l = free_energy(m, v, 3)
+        f_l = free_energy(m, v[None], 3)[0]
         for k in (1, 2, 5):
-            assert free_energy(m, v, 3 + k) == pytest.approx(
+            assert free_energy(m, v[None], 3 + k)[0] == pytest.approx(
                 f_l + k * (beta_zero - LN2), abs=1e-12)
 
     def test_matches_hidden_enumeration(self):
         m = make_model(5, D=4, l=3)
         v = np.array([1.0, 1.0, 0.0, 1.0])
-        got = free_energy(m, v, 2)
+        got = free_energy(m, v[None], 2)[0]
         want = oracles.free_energy_by_hidden_enumeration(m, v, 2)
         assert got == pytest.approx(want, abs=1e-10)
         assert got == pytest.approx(1.1501366576029146, abs=1e-10)
@@ -58,20 +58,20 @@ class TestFreeEnergy:
     def test_enumeration_consistency_through_tail(self, z):
         m = make_model(9, D=3, l=4)
         v = np.array([0.0, 1.0, 1.0])
-        assert free_energy(m, v, z) == pytest.approx(
+        assert free_energy(m, v[None], z)[0] == pytest.approx(
             oracles.free_energy_by_hidden_enumeration(m, v, z), abs=1e-10)
 
     def test_labeled_variant(self):
         m = make_model(6, D=4, l=3, C=2)
         v = np.array([1.0, 0.0, 0.0, 1.0])
         for y in (0, 1):
-            assert free_energy(m, v, 2, y=y) == pytest.approx(
+            assert free_energy(m, v[None], 2, y=y)[0] == pytest.approx(
                 oracles.free_energy_by_hidden_enumeration(m, v, 2, y=y), abs=1e-10)
 
     def test_dynamic_penalty_mode(self):
         m = make_model(8, D=3, l=2, mode="dynamic")
         v = np.array([1.0, 1.0, 0.0])
-        assert free_energy(m, v, 2) == pytest.approx(
+        assert free_energy(m, v[None], 2)[0] == pytest.approx(
             oracles.free_energy_by_hidden_enumeration(m, v, 2), abs=1e-10)
 
     def test_g_form_drops_visible_bias(self):
@@ -81,31 +81,31 @@ class TestFreeEnergy:
         logw = label_joint_log_weights(m, v[None]).head_log_weights
         for y in (0, 1):
             for z in (1, 3, 4):
-                want = free_energy(m, v, z, y=y) + float(v @ m.b_v)
+                want = free_energy(m, v[None], z, y=y)[0] + float(v @ m.b_v)
                 assert -logw[0, y, z - 1] == pytest.approx(want, abs=1e-12)
 
 
 class TestZPosterior:
     def test_zero_model_is_geometric(self):
         m = zero_model(D=2)
-        zp = z_posterior(m, np.zeros(2))
-        probs = zp.head_probs()
+        zp = z_posterior(m, np.zeros((1, 2)))
+        probs = zp.head_probs()[0]
         for k in (1, 2):
             assert probs[k - 1] == pytest.approx((1 - R) * R ** (k - 1), abs=1e-12)
 
     def test_normalization(self):
         m = make_model(21, D=4, l=3, C=2)
         for y in (None, 0, 1):
-            zp = z_posterior(m, random_binary(3, 1, 4)[0], y)
-            total = zp.head_probs().sum() + zp.tail_prob()
+            zp = z_posterior(m, random_binary(3, 1, 4), y)
+            total = zp.head_probs()[0].sum() + zp.tail_prob()[0]
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_head_matches_long_truncation(self):
         m = make_model(22, D=4, l=3)
         v = random_binary(4, 1, 4)[0]
-        zp = z_posterior(m, v)
+        zp = z_posterior(m, v[None])
         truncated = oracles.z_posterior_by_truncation(m, v, 10_000)
-        head = zp.head_probs()
+        head = zp.head_probs()[0]
         assert np.max(np.abs(head[:3] - truncated[:3])) < 1e-10
 
     def test_divergent_penalty_rejected(self):
@@ -116,17 +116,17 @@ class TestZPosterior:
 
     def test_p_z_geq_structure(self):
         m = make_model(23, D=5, l=4)
-        zp = z_posterior(m, random_binary(5, 1, 5)[0])
-        geq = zp.p_z_geq()
+        zp = z_posterior(m, random_binary(5, 1, 5))
+        geq = zp.p_z_geq()[0]
         assert geq[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(geq) <= 1e-15)
 
     def test_mass_at_most_complements_suffix(self):
         m = make_model(24, D=4, l=4)
-        zp = z_posterior(m, random_binary(6, 1, 4)[0])
+        zp = z_posterior(m, random_binary(6, 1, 4))
         for k in (1, 2, 4):
-            lhs = np.exp(zp.mass_at_most(k))
-            rhs = 1.0 - zp.p_z_geq()[k]
+            lhs = np.exp(zp.mass_at_most(k)[0])
+            rhs = 1.0 - zp.p_z_geq()[0, k]
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_batch_agrees_with_single(self):
@@ -134,9 +134,9 @@ class TestZPosterior:
         V = random_binary(7, 5, 4)
         batch = z_posterior(m, V)
         for i in range(5):
-            single = z_posterior(m, V[i])
-            assert np.allclose(batch.head_log_weights[i], single.head_log_weights)
-            assert batch.log_norm[i] == pytest.approx(float(single.log_norm))
+            single = z_posterior(m, V[i][None])
+            assert np.allclose(batch.head_log_weights[i], single.head_log_weights[0])
+            assert batch.log_norm[i] == pytest.approx(float(single.log_norm[0]))
 
 
 class TestConditionals:
@@ -196,11 +196,11 @@ class TestConditionals:
 
     def test_label_posterior_uniform_for_zero_model(self):
         m = zero_model(D=3, C=5)
-        assert np.allclose(np.exp(log_cond_y_given_v(m, np.ones(3))), 0.2)
+        assert np.allclose(np.exp(log_cond_y_given_v(m, np.ones((1, 3)))[0]), 0.2)
 
     def test_label_posterior_needs_label_units(self):
         with pytest.raises(ValueError, match="no label weights"):
-            log_cond_y_given_v(make_model(34, D=4, l=3), np.ones(4))
+            log_cond_y_given_v(make_model(34, D=4, l=3), np.ones((1, 4)))
 
     def test_label_posterior_sums_to_one(self):
         m = make_model(35, D=4, l=3, C=3)
@@ -210,7 +210,7 @@ class TestConditionals:
     def test_label_posterior_matches_truncated_sum(self):
         m = make_model(36, D=4, l=3, C=3)
         v = np.array([1.0, 1.0, 0.0, 1.0])
-        got = np.exp(log_cond_y_given_v(m, v))
+        got = np.exp(log_cond_y_given_v(m, v[None])[0])
         want = oracles.cond_y_by_truncation(m, v, 10_000)
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -245,8 +245,8 @@ class TestMarginalHidden:
 
     def test_first_unit_always_reachable(self):
         m = make_model(41, D=4, l=3)
-        zp = z_posterior(m, np.ones(4))
-        assert zp.p_z_geq()[0] == pytest.approx(1.0, abs=1e-12)
+        zp = z_posterior(m, np.ones((1, 4)))
+        assert zp.p_z_geq()[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_against_truncated_sum(self):
         m = make_model(42, D=4, l=4)
@@ -299,21 +299,21 @@ class TestMarginalZPosterior:
     def test_reduces_to_plain_posterior_when_unlabeled(self):
         m = make_model(61, D=4, l=3)
         v = random_binary(10, 1, 4)[0]
-        a = marginal_z_posterior(m, v)
-        b = z_posterior(m, v)
-        assert np.allclose(a.head_log_weights, b.head_log_weights)
+        a = marginal_z_posterior(m, v[None])
+        b = z_posterior(m, v[None])
+        assert np.allclose(a.head_log_weights[0], b.head_log_weights[0])
 
     def test_marginalizes_classes(self):
         m = make_model(62, D=4, l=3, C=3)
         v = random_binary(11, 1, 4)[0]
-        marg = marginal_z_posterior(m, v).clamped_probs()
+        marg = marginal_z_posterior(m, v[None]).clamped_probs()[0]
         # explicit sum over classes of the joint p(z, y | v)
         per_class = []
         p_y_norm = []
         for y in range(3):
-            zp = z_posterior(m, v, y)
-            per_class.append(np.exp(zp.head_log_weights))
-            p_y_norm.append(np.exp(zp.tail_log_mass))
+            zp = z_posterior(m, v[None], y)
+            per_class.append(np.exp(zp.head_log_weights[0]))
+            p_y_norm.append(np.exp(zp.tail_log_mass[0]))
         joint_head = np.sum(per_class, axis=0)
         joint_tail = np.sum(p_y_norm)
         total = joint_head.sum() + joint_tail
@@ -343,7 +343,7 @@ class TestMarginalZPosterior:
 
         monkeypatch.setattr(model, "label_joint_log_weights", recording)
         marginal_z_posterior(m, random_binary(13, 30, 6))
-        marginal_z_posterior(m, random_binary(14, 1, 6)[0])
+        marginal_z_posterior(m, random_binary(14, 1, 6))
         assert len(built) == 2
         for post in built:
             assert post.head_log_weights.shape[1:] == (3, 6)
@@ -355,12 +355,12 @@ class TestMarginalZPosterior:
 def test_posterior_probabilities_well_formed(seed, d, l):
     m = make_model(seed, D=d, l=l)
     v = random_binary(seed + 1, 1, d)[0]
-    zp = z_posterior(m, v)
-    probs = zp.clamped_probs()
+    zp = z_posterior(m, v[None])
+    probs = zp.clamped_probs()[0]
     assert np.all(probs >= 0)
-    assert probs.sum() + (zp.head_probs().sum() + zp.tail_prob()
+    assert probs.sum() + (zp.head_probs()[0].sum() + zp.tail_prob()[0]
                           - probs.sum()) == pytest.approx(1.0, abs=1e-10)
-    geq = zp.p_z_geq()
+    geq = zp.p_z_geq()[0]
     assert np.all((geq >= -1e-12) & (geq <= 1 + 1e-12))
 
 
@@ -371,6 +371,6 @@ def test_conditional_outputs_are_probabilities(seed):
     v = random_binary(seed, 1, 4)
     h = expit(unit_inputs(m, v))
     assert np.all((h >= 0) & (h <= 1))
-    p = np.exp(log_cond_y_given_v(m, v[0]))
+    p = np.exp(log_cond_y_given_v(m, v)[0])
     assert np.all(p >= 0)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)

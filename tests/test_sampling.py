@@ -48,8 +48,8 @@ class TestZSampling:
     def test_seeded_model_frequencies_match_posterior(self):
         m = make_model(77, D=4, l=3)
         v = np.array([1.0, 0.0, 1.0, 1.0])
-        zp = z_posterior(m, v)
-        probs = zp.clamped_probs()
+        zp = z_posterior(m, v[None])
+        probs = zp.clamped_probs()[0]
         n = 40_000
         batch = z_posterior(m, np.tile(v, (n, 1))).sample(stream(3, "z-freq"))
         counts = np.bincount(batch, minlength=5)[1:5]
@@ -151,7 +151,7 @@ class TestDiscriminativeChain:
     def test_matches_exact_label_conditional(self):
         m = make_model(111, D=4, l=2, C=2, scale=0.8)
         v = np.array([1.0, 0.0, 1.0, 0.0])
-        exact = np.exp(log_cond_y_given_v(m, v))
+        exact = np.exp(log_cond_y_given_v(m, v[None])[0])
         rng = stream(9, "dis-exact")
         Y = np.array([0])
         counts = np.zeros(2)

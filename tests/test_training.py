@@ -106,8 +106,8 @@ class TestDiscriminativeGradient:
         # p(z >= 1) = 1, so the data term of row 1 is the bare sigmoid row
         m = make_model(30, D=4, l=1, C=2)
         v = random_binary(6, 1, 4)[0]
-        zp = z_posterior(m, v, 0)
-        assert zp.p_z_geq()[0] == pytest.approx(1.0, abs=1e-12)
+        zp = z_posterior(m, v[None], 0)
+        assert zp.p_z_geq()[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed,mode", [(31, "constant"), (32, "dynamic")])
     def test_exact_gradient_matches_finite_differences(self, seed, mode):

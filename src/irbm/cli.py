@@ -653,9 +653,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", required=True)
     v.set_defaults(func=cmd_convert_dataset)
-    # a flag value argparse cannot read is a validation failure (exit 1)
+    # a flag value argparse cannot read raises, and main() exits 1 naming it
     for command in sub.choices.values():
-        command.exit_on_error = parser.exit_on_error
+        command.exit_on_error = False
     return parser
 
 
@@ -678,8 +678,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         _check_flags(args)
         return args.func(args)
-    # a CheckpointError is a ValueError, so it is caught first
-    except (CheckpointError, OSError, FloatingPointError) as exc:
+    except (CheckpointError, OSError, FloatingPointError) as exc:  # before ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (argparse.ArgumentError, ValueError) as exc:

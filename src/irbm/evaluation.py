@@ -132,7 +132,7 @@ than a share, it is planned never to need. For the three runs of
 `--perms 2` on two workers, each worker makes 1.5 runs' steps instead of
 one making 2 while the other makes 1. The calling thread makes the order
 passes before its list. Only one thread at a time advances a run, on its
-own buffers and its own copy of the generator, and the run draws what it
+own chain state and its own copy of the generator, and the run draws what it
 drew serially, from a copy in the state the serial run started from;
 `_ais_steps` does the operations of the composed `unit_inputs` /
 `z_posterior` / `gibbs_sweep` steps on the same values
@@ -149,14 +149,15 @@ The kernel calls numpy, scipy and the private cores only, by the rule
 above, and each run's reduction (`base_log_partition`, the bootstrap)
 runs on the caller: in a traced run, the AIS steps open no spans.
 
-A run in flight holds its scaled copy of W, 8 * l * D bytes (3.1 MB at
-l=500, D=784), and about 8 * chains * (8l + 3D) bytes of chain buffers,
-from its first step to its last. Under the plan up to 2W - 1 runs are in
-flight at once, one being made on each worker and each split run between
-its parts: for the three runs on two workers, every reserved run. Each
-reserved run also holds its ordering's model and its bootstrap indices
-until the report is reduced. Exact log Z draws nothing; it stays serial per
-ordering and runs on the enumeration workers.
+Each worker holds one buffer set; a run holds its chains. The set is the
+scaled copy of W, 8 * l * D bytes (3.1 MB at l=500, D=784), and about
+8 * chains * (6l + D) bytes of scratch, made at the worker's first step
+and dropped when `_Ais.make` returns. A run's chain state, 8 * chains *
+(D + l) bytes, lives from its first step to its last, so the up to 2W - 1
+runs in flight (every run of `--perms 2` on two workers) share W sets.
+Each reserved run also holds its ordering's model and its bootstrap
+indices until the report is reduced. Exact log Z draws nothing; it stays
+serial per ordering and runs on the enumeration workers.
 """
 
 from __future__ import annotations
@@ -554,22 +555,14 @@ def ais_log_partition(params: ModelParams, n_temps: int, n_chains: int,
     """
     _check_ais_settings(n_temps, n_chains)
     b_base = _base_biases(params.D, base_means)
-    log_w = _ais_log_weights(params, b_base, n_temps, n_chains, rng)
+    for log_w in _ais_steps(params, b_base, n_temps, n_chains, rng, threading.local()):
+        pass
     return _ais_result(params, b_base, log_w,
                        _bootstrap_indices(rng, n_chains, n_boot))
 
 
-def _ais_log_weights(params: ModelParams, b_base: np.ndarray, n_temps: int,
-                     n_chains: int, rng: np.random.Generator) -> np.ndarray:
-    """The importance log weights of one AIS run, drawing from rng: the
-    `_ais_steps` of the run, taken to the end."""
-    for log_w in _ais_steps(params, b_base, n_temps, n_chains, rng):
-        pass
-    return log_w
-
-
 def _ais_steps(params: ModelParams, b_base: np.ndarray, n_temps: int,
-               n_chains: int, rng: np.random.Generator):
+               n_chains: int, rng: np.random.Generator, buffers: threading.local):
     """One AIS run, drawing from rng, as n_temps - 1 steps: each step moves
     the chains to the next temperature, adds its term to the importance log
     weights and yields them (the same array each time), so a run can be
@@ -579,27 +572,36 @@ def _ais_steps(params: ModelParams, b_base: np.ndarray, n_temps: int,
     (`unit_inputs`, `z_posterior` and `sampling.gibbs_sweep` on a model
     refilled at each temperature), and so are the operations on each value,
     so every weight keeps its bits; `tests/oracles.ais_building_afresh` is
-    that composition. Each step calls the core of its public kernel on
-    buffers allocated once per run, at its first step, and the kernel reads
-    params' arrays and penalty, so it calls no traced function.
+    that composition. Each step calls the core of its public kernel, in the
+    `buffers.set` of the thread that makes the step (made at that thread's
+    first step, for runs of params' shapes), and the kernel reads params'
+    arrays and penalty, so it calls no traced function. The run keeps only
+    its chain state. Every buffer cell a step reads, that step has written
+    first, so what another run left in the set is never read.
     """
     W, b_v, c, U, d, pen = (params.W, params.b_v, params.c, params.U, params.d,
                             params.penalty)
     (l, D), N = W.shape, n_chains
     labeled, dynamic = U is not None, pen.mode == "dynamic"
     betas = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, n_temps - 1)])
-    # the model at one temperature (`_interpolate` of the composed steps)
-    mW, mb = np.empty_like(W), np.empty_like(b_v)
-    unit_pen = np.empty(l) if dynamic else np.full(l, pen.beta_zero)
-    mc = np.empty(l) if dynamic else None
-    mU, md = (np.empty_like(U), np.empty_like(d)) if labeled else (None, None)
-    # chain state: G = unit_inputs(params, V, Y), A = beta * G
-    G, A, T = np.empty((N, l)), np.empty((N, l)), np.empty((N, l))
-    V, P = np.empty((N, D)), np.empty((N, D))
-    head, w, H, u_h = (np.empty((N, l + 1)) for _ in range(4))
-    on = np.empty((N, l + 1), dtype=bool)
-    tail, mx, base, ln, prev, u_z, step = (np.empty(N) for _ in range(7))
-    L, u_y = (np.empty((N, U.shape[1])), np.empty(N)) if labeled else (None, None)
+    # chain state: G = unit_inputs(params, V, Y)
+    V, G, prev, log_w = np.empty((N, D)), np.empty((N, l)), np.empty(N), np.zeros(N)
+
+    def this_threads_buffers():
+        if not hasattr(buffers, "set"):
+            # the model at one temperature (`_interpolate` of the composed steps)
+            mW, mb, unit_pen = np.empty_like(W), np.empty_like(b_v), np.empty(l)
+            mc = np.empty(l) if dynamic else None
+            mU, md = (np.empty_like(U), np.empty_like(d)) if labeled else (None, None)
+            # A = beta * G, and the scratch of the posteriors and the sweep
+            A, T, P = np.empty((N, l)), np.empty((N, l)), np.empty((N, D))
+            head, w, H, u_h = (np.empty((N, l + 1)) for _ in range(4))
+            on = np.empty((N, l + 1), dtype=bool)
+            tail, mx, base, ln, u_z, step = (np.empty(N) for _ in range(6))
+            L, u_y = (np.empty((N, U.shape[1])), np.empty(N)) if labeled else (None, None)
+            buffers.set = (mW, mb, unit_pen, mc, mU, md, A, T, P, head, w, H, u_h,
+                           on, tail, mx, base, ln, u_z, step, L, u_y)
+        return buffers.set
 
     def interpolate(beta):
         """Couplings times beta, visible biases mixed with the base's."""
@@ -611,6 +613,8 @@ def _ais_steps(params: ModelParams, b_base: np.ndarray, n_temps: int,
             np.multiply(c, beta, out=mc)
             _softplus(mc, mc, unit_pen)
             np.multiply(mc, pen.beta, out=unit_pen)
+        else:
+            unit_pen.fill(pen.beta_zero)
         if labeled:
             np.multiply(U, beta, out=mU)
             np.multiply(d, beta, out=md)
@@ -634,14 +638,16 @@ def _ais_steps(params: ModelParams, b_base: np.ndarray, n_temps: int,
         np.add(head[:, l], pen.log_tail_geometric_sum, out=tail)
         _log_sum_exp(head, tail, -1, out, mx, w)
 
-    rng.random(out=V)
-    np.less(V, expit(b_base), out=V)
-    Y = rng.integers(0, U.shape[1], size=N) if labeled else None
-    target_inputs(Y)
-    interpolate(betas[0])
-    log_norm(betas[0], Y, prev)
-    log_w = np.zeros(N)
     for k in range(1, n_temps):
+        (mW, mb, unit_pen, mc, mU, md, A, T, P, head, w, H, u_h, on, tail, mx,
+         base, ln, u_z, step, L, u_y) = this_threads_buffers()
+        if k == 1:              # the chains' start
+            rng.random(out=V)
+            np.less(V, expit(b_base), out=V)
+            Y = rng.integers(0, U.shape[1], size=N) if labeled else None
+            target_inputs(Y)
+            interpolate(betas[0])
+            log_norm(betas[0], Y, prev)
         interpolate(betas[k])
         log_norm(betas[k], Y, ln)
         np.subtract(ln, prev, out=step)
@@ -745,8 +751,9 @@ class _Ais:
         each run, reduced here in run order."""
         b_base = _base_biases(runs[0].params.D, self.base_means)
         steps = self.n_temps - 1
+        buffers = threading.local()             # one set per worker thread
         todo = [_ais_steps(run.params, b_base, self.n_temps, self.n_chains,
-                           run.rng) for run in runs]
+                           run.rng, buffers) for run in runs]
         # a split run's last part waits for its first part on another worker
         ready = [threading.Event() for _ in runs]
         failed = threading.Event()
@@ -765,7 +772,7 @@ class _Ais:
                         runs[r].log_w = next(todo[r])
                     ready[r].set()
                     if hi == steps:
-                        todo[r] = None          # frees the run's buffers
+                        todo[r] = None          # frees the run's chain state
                         if _generator_state(runs[r].rng) != runs[r].end:
                             raise RuntimeError(
                                 "an AIS run did not end where its reservation "
@@ -1047,6 +1054,12 @@ def full_report(params: ModelParams, X, Y=None, n_perms: int = 1, m: int = 0,
     report = EvalReport(n_perms=n_perms if n_perms > 1 and m >= 2 else 1)
     ev = order_pass(params, X, labels=Y is not None)
     report.n_h = effective_hidden_size(params, X, minibatch_size, zp=ev.zp)
+    labeled = Y is not None and params.has_labels
+    if not labeled:
+        # draws nothing, so the posterior can be dropped before log Z
+        values, counts = np.unique(ev.zp.mode(), return_counts=True)
+        report.z_m_histogram = {int(v): int(c) for v, c in zip(values, counts)}
+        ev.zp = None
     report.method, log_z = log_partition_estimator(params, X, rng, cap,
                                                    ais_temps, ais_chains)
     if report.n_perms > 1:
@@ -1056,13 +1069,10 @@ def full_report(params: ModelParams, X, Y=None, n_perms: int = 1, m: int = 0,
     else:
         report.log_z, report.log_z_std_err = log_z(params)
         report.avg_loglik = float(np.mean(ev.log_pstar)) - report.log_z
-    if Y is not None and params.has_labels:
+    if labeled:
         error, _, _, hist = classification_metrics(params, X, Y, n_perms, m, rng,
                                                    ev=ev)
         report.classification_error = error
         report.z_m_histogram = hist
         report.avg_cond_loglik = exact_cond_loglik(params, X, Y, ev=ev)
-    else:
-        values, counts = np.unique(ev.zp.mode(), return_counts=True)
-        report.z_m_histogram = {int(v): int(c) for v, c in zip(values, counts)}
     return report

@@ -113,7 +113,8 @@ def _log_sum_exp(head, tail, axis: int, out, m, w):
         np.subtract(tail, m, out=t)
         np.exp(t, out=t)
         out += t
-    np.log(out, out=out)
+    with np.errstate(divide="ignore"):      # a row of -inf terms sums to 0
+        np.log(out, out=out)
     out += m
     return out
 

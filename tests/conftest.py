@@ -1,6 +1,17 @@
 import numpy as np
+import pytest
 
 from irbm.model import ModelParams, PenaltyConfig
+
+
+@pytest.fixture(autouse=True)
+def floating_point_errors_raise():
+    """Overflow, invalid operations and division by zero raise in every test
+    (underflow stays quiet: shifted exp terms underflow by design). The
+    evaluation workers run in a copy of the caller's context, so the setting
+    holds on them too."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        yield
 
 
 def make_model(seed, D, l, C=0, scale=1.0, beta=1.01, mode="constant",

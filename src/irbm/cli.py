@@ -385,13 +385,18 @@ def cmd_sample(args) -> int:
     if args.n_samples == 0:
         print("nothing to do: 0 samples requested")
         return 0
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = stream(args.seed, "sample")
-    V = (rng.random((args.n_samples, params.D)) < 0.5).astype(np.float64)
+    try:
+        V = (rng.random((args.n_samples, params.D)) < 0.5).astype(np.float64)
+    except (ValueError, MemoryError) as exc:    # too many rows for numpy or memory
+        raise ValueError(f"--n-samples {args.n_samples}: cannot allocate "
+                         f"{args.n_samples} chains of {params.D} units ({exc})") from None
     Y = (rng.integers(0, params.C, size=args.n_samples)
          if params.has_labels else None)
     for _ in range(args.steps):
         V, Y, _ = gibbs_sweep(params, V, Y, rng)
+    # created only now, so chains that cannot be drawn leave nothing behind
+    out_dir.mkdir(parents=True, exist_ok=True)
     height, width = _image_shape(params.D)
     samples_path = out_dir / "samples.pgm"
     write_pgm(samples_path, _tile_grid((V * 255).astype(np.uint8), height, width))
@@ -527,8 +532,12 @@ def cmd_convert_dataset(args) -> int:
         if args.valid_fraction > 0:
             if args.split != "train":
                 raise ValueError("--valid-fraction only applies to the train split")
-            order = stream(args.seed, "valid-split").permutation(ds.n)
             n_valid = int(round(args.valid_fraction * ds.n))
+            if n_valid in (0, ds.n):
+                raise ValueError(
+                    f"--valid-fraction {args.valid_fraction} of {ds.n} images leaves "
+                    f"the {'valid' if n_valid == 0 else 'train'} split empty")
+            order = stream(args.seed, "valid-split").permutation(ds.n)
             parts = (("train", order[n_valid:]), ("valid", order[:n_valid]))
             write_ibmp(out, {
                 split: Dataset(X=ds.X[rows], y=None if ds.y is None else ds.y[rows],

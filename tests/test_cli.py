@@ -574,6 +574,19 @@ class TestSample:
         assert code == 0
         assert not dest.exists()
 
+    @pytest.mark.parametrize("n_samples", [2 ** 64, 10 ** 11])
+    def test_chains_that_cannot_be_allocated_create_nothing(self, tmp_path, capsys,
+                                                            n_samples):
+        # 2**64 rows exceed numpy's largest dimension; 10**11 rows of 9
+        # units (7.2 TB) exceed the memory
+        out = train_small(tmp_path)
+        dest = tmp_path / "samples"
+        code = run(["sample", out / "checkpoint.irbm", "--steps", 1,
+                    "--n-samples", n_samples, "--out-dir", dest])
+        assert code == 1
+        assert f"--n-samples {n_samples}" in capsys.readouterr().err
+        assert not dest.exists()
+
     def test_default_step_count(self):
         parser = build_parser()
         args = parser.parse_args(["sample", "x.irbm"])
@@ -678,6 +691,23 @@ class TestConvertDataset:
         back = read_ibmp(out)
         assert back["train"].n == 15
         assert back["valid"].n == 5
+
+    def test_valid_fraction_that_empties_a_split_refused(self, tmp_path, capsys):
+        # of 20 images, 0.01 rounds to no valid row and 0.99 to no train row
+        images = np.random.default_rng(11).integers(0, 256, size=(20, 3, 3),
+                                                    dtype=np.uint8)
+        img_path = tmp_path / "img.idx"
+        with open(img_path, "wb") as f:
+            f.write(struct.pack(">iiii", 0x00000803, 20, 3, 3))
+            f.write(images.tobytes())
+        for fraction, empty in ((0.01, "valid"), (0.99, "train")):
+            out = tmp_path / f"split-{fraction}.ibmp"
+            code = run(["convert-dataset", "--format", "idx", "--images", img_path,
+                        "--valid-fraction", fraction, "--out", out])
+            assert code == 1
+            assert (f"--valid-fraction {fraction} of 20 images leaves the {empty} "
+                    "split empty" in capsys.readouterr().err)
+            assert not out.exists()
 
     def test_npz_to_packed_bitmap(self, tmp_path, capsys):
         rng = np.random.default_rng(9)

@@ -34,6 +34,7 @@ from irbm.evaluation import (
     exact_generative_gradient,
     full_report,
     log_pstar,
+    order_pass,
     permutation_averaged_loglik,
 )
 from irbm.evaluation import (
@@ -144,6 +145,7 @@ class TestExactLoglik:
         assert 0.5 * np.abs(emp - exact).sum() < 0.02
 
 
+@pytest.mark.bitwise
 class TestAis:
     def test_identity_anneal_is_exact(self):
         base = np.full(5, 0.3)
@@ -543,6 +545,7 @@ def peak_traced_bytes(fn, *args):
         tracemalloc.stop()
 
 
+@pytest.mark.bitwise
 class TestBlockEnumeration:
     @pytest.mark.parametrize("D,kind", ENUM_CASES)
     def test_blocks_cover_every_vector_in_order(self, D, kind):
@@ -698,6 +701,7 @@ def on_a_new_thread(fn):
         return pool.submit(fn).result()
 
 
+@pytest.mark.bitwise
 class TestEnumerationWorkers:
     @pytest.mark.parametrize("kind", WORKER_KINDS)
     def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch, kind):
@@ -900,6 +904,7 @@ def generator_state(rng):
                       default=lambda a: a.tolist())
 
 
+@pytest.mark.bitwise
 class TestAisWorkers:
     @pytest.mark.parametrize("C", [0, 3])
     @pytest.mark.parametrize("n_perms", [1, 2, 5])
@@ -1058,6 +1063,29 @@ class TestAisWorkers:
         names = collections.Counter(s[0] for s in tr.spans)
         assert names["evaluation.full_report"] == 1
         assert names["evaluation.order_pass"] == 3
+
+    @pytest.mark.parametrize("C", [0, 3])
+    def test_memory_holds_one_buffer_set_per_worker(self, monkeypatch, C):
+        # the three runs of n_perms=2 are all in flight on two workers; a
+        # buffer set holding its own scaled copy of the model per run would
+        # put three sets at once over the budget
+        N, D, l = 3, 200, 300
+        model = make_model(985 + C, D=D, l=l, C=C, scale=0.1)
+        X = random_binary(986, 40, D)
+        Y = np.arange(40) % C if C else None
+        model_copy = sum(a.nbytes for _, a in model.blocks())
+        # the scaled model with its unit penalties; the chains' scratch: six
+        # arrays at most l + 1 wide, the visible means, the label logits,
+        # eight vectors and the bool unit draws
+        buffer_set = model_copy + 8 * l + N * (8 * (6 * (l + 1) + D + C + 8) + l + 1)
+        run_state = 8 * N * (D + l + 3)         # V, G, prev, log_w and Y
+        one_pass = peak_traced_bytes(order_pass, model, X, Y is not None)
+        budget = 2 * model_copy + 2 * buffer_set + 3 * run_state + one_pass
+        force_workers(monkeypatch, 2)
+        peak = peak_traced_bytes(lambda: full_report(
+            model, X, Y, n_perms=2, m=100, rng=stream(987, "memory", C), cap=0,
+            ais_temps=4, ais_chains=3))
+        assert peak <= budget, f"peak {peak / 2 ** 20:.2f} MB > {budget / 2 ** 20:.2f} MB"
 
     @pytest.mark.parametrize("runs", range(1, 7))
     @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -222,6 +222,7 @@ class TestNegativePhases:
         assert neg.y.shape == (50,)
 
 
+@pytest.mark.bitwise
 class TestCutoffBoundedDraw:
     """draw_h compares only the units below max(Z), yet gives the bytes of
     the full formula and leaves the generator where the full draw does."""

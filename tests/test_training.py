@@ -643,6 +643,7 @@ def _bytes_differ(g, ref) -> list:
     return [name for name, arr in g.blocks() if arr.tobytes() != ref[name].tobytes()]
 
 
+@pytest.mark.bitwise
 class TestCutoffBoundedPhaseStatistics:
     """The phase products bounded by the largest cutoff give the bytes of the
     full -(S.T @ V) / n formulas, including the +0.0 of every row above it,
